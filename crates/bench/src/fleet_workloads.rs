@@ -159,11 +159,13 @@ impl Workload for GramWorkload {
                 message: format!("gram task {task} out of range ({n} graphs)"),
             });
         }
-        // Upper-triangle entries only: row i contributes n − i values.
+        // Upper-triangle entries only: row i contributes n − i values, all
+        // among graphs r0.. — the only ones this task prepares.
+        let entry = self.kernel.entries(&self.graphs[r0..]);
         let mut entries = Vec::with_capacity((r1 - r0) * n);
-        for i in r0..r1 {
-            for j in i..n {
-                entries.push(self.kernel.eval(&self.graphs[i], &self.graphs[j]));
+        for i in 0..r1 - r0 {
+            for j in i..n - r0 {
+                entries.push(entry(i, j));
             }
         }
         let mut e = Enc::new();

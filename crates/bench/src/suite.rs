@@ -32,6 +32,7 @@ use x2v_embed::word2vec::{SgnsConfig, Word2Vec};
 use x2v_gnn::layer::Activation;
 use x2v_gnn::model::{GnnModel, InitialFeatures};
 use x2v_graph::generators::{cycle, gnp, path};
+use x2v_kernel::gram::{gram_resumable, PairwiseEval};
 use x2v_kernel::wl::WlSubtreeKernel;
 use x2v_prof::json::JsonValue;
 use x2v_wl::kwl::KwlRefiner;
@@ -295,19 +296,20 @@ fn workloads(smoke: bool) -> Vec<Workload> {
             baseline,
             run: Box::new(move || {
                 let kernel = WlSubtreeKernel::new(3);
-                let m = x2v_kernel::gram::gram_resumable(&kernel, &graphs, "bench-gram-pair")
+                let m = gram_resumable(&kernel, &graphs, "bench-gram-pair")
                     .unwrap_or_else(|e| panic!("{e}"));
                 fold_f64s(m.as_slice())
             }),
         });
     }
 
-    // Single-pass feature Gram vs N×N pairwise kernel evaluations over one
-    // larger dataset. `gram_feat`'s `baseline` cross-assert is the suite's
-    // golden-CRC gate on the exact-equivalence contract: the feature path
-    // must reproduce the pairwise work checksum bit for bit, while the
-    // medians quantify collapsing per-entry re-refinement into one
-    // feature-extraction pass plus sparse merge-join dot products.
+    // Feature-map Gram vs N×N pairwise kernel evaluations over one larger
+    // dataset, both through `gram_resumable`. `gram_feat`'s `baseline`
+    // cross-assert is the suite's golden-CRC gate on the exact-equivalence
+    // contract: the WL kernel's feature-map entries must reproduce the
+    // pairwise work checksum bit for bit, while the medians quantify
+    // collapsing per-entry re-refinement into one feature-extraction pass
+    // plus sparse merge-join dot products.
     let ds_feat = cycles_vs_trees(pick(40, 6), 9, 37).graphs;
     for (name, threads, baseline) in [
         ("kernel/gram_pairwise", 1, None),
@@ -322,9 +324,9 @@ fn workloads(smoke: bool) -> Vec<Workload> {
             run: Box::new(move || {
                 let kernel = WlSubtreeKernel::new(3);
                 let m = if feat_path {
-                    x2v_kernel::gram::gram_from_features(&kernel, &graphs, "bench-gram-feat")
+                    gram_resumable(&kernel, &graphs, "bench-gram-feat")
                 } else {
-                    x2v_kernel::gram::gram_resumable(&kernel, &graphs, "bench-gram-pairwise")
+                    gram_resumable(&PairwiseEval(&kernel), &graphs, "bench-gram-pairwise")
                 }
                 .unwrap_or_else(|e| panic!("{e}"));
                 fold_f64s(m.as_slice())

@@ -42,14 +42,34 @@ pub trait GraphKernel {
     /// Evaluates `K(G, H)`.
     fn eval(&self, g: &Graph, h: &Graph) -> f64;
 
-    /// The Gram matrix over a dataset (override for shared-state
-    /// efficiency). Row-major, symmetric.
-    fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix {
+    /// Prepares `graphs` once and returns the evaluator
+    /// `(i, j) ↦ K(graphs[i], graphs[j])` that every Gram builder fills its
+    /// rows from. The default evaluates [`GraphKernel::eval`] pairwise;
+    /// kernels with an explicit feature map override it to extract each
+    /// graph's features once and take dot products. An override must
+    /// return exactly the bits `eval` returns for every pair.
+    fn entries<'a>(
+        &'a self,
+        graphs: &'a [Graph],
+    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a>
+    where
+        Self: Sync,
+    {
+        Box::new(move |i, j| self.eval(&graphs[i], &graphs[j]))
+    }
+
+    /// The Gram matrix over a dataset, filled from [`GraphKernel::entries`].
+    /// Row-major, symmetric.
+    fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix
+    where
+        Self: Sync,
+    {
+        let entry = self.entries(graphs);
         let n = graphs.len();
         let mut m = x2v_linalg::Matrix::zeros(n, n);
         for i in 0..n {
             for j in i..n {
-                let v = self.eval(&graphs[i], &graphs[j]);
+                let v = entry(i, j);
                 m[(i, j)] = v;
                 m[(j, i)] = v;
             }

@@ -10,7 +10,7 @@
 
 use crate::traits::GraphEmbedding;
 use x2v_graph::Graph;
-use x2v_wl::features::WlFeatureVector;
+use x2v_wl::features::SparseWlFeatures;
 use x2v_wl::{Colour, Refiner};
 
 /// A densified WL subtree embedding with a fixed colour vocabulary.
@@ -42,9 +42,9 @@ impl WlSubtreeEmbedding {
         let mut refiner = Refiner::new();
         let mut index = x2v_graph::hash::FxHashMap::default();
         for g in graphs {
-            let f = WlFeatureVector::compute(&mut refiner, g, rounds);
-            for (i, hist) in f.rounds.iter().enumerate() {
-                for &c in hist.keys() {
+            let f = SparseWlFeatures::compute(&mut refiner, g, rounds);
+            for i in 0..f.num_rounds() {
+                for &c in f.round(i).0 {
                     let next = index.len();
                     index.entry((i, c)).or_insert(next);
                 }
@@ -68,10 +68,11 @@ impl WlSubtreeEmbedding {
 impl GraphEmbedding for WlSubtreeEmbedding {
     fn embed(&self, g: &Graph) -> Vec<f64> {
         let mut refiner = self.refiner.lock().expect("wl-embed refiner lock");
-        let f = WlFeatureVector::compute(&mut refiner, g, self.rounds);
+        let f = SparseWlFeatures::compute(&mut refiner, g, self.rounds);
         let mut out = vec![0.0; self.index.len()];
-        for (i, hist) in f.rounds.iter().enumerate() {
-            for (&c, &count) in hist {
+        for i in 0..f.num_rounds() {
+            let (keys, counts) = f.round(i);
+            for (&c, &count) in keys.iter().zip(counts) {
                 if let Some(&j) = self.index.get(&(i, c)) {
                     out[j] = self.round_weight[i] * count as f64;
                 }
@@ -91,13 +92,13 @@ mod tests {
     use x2v_graph::generators::{cycle, path, star};
     use x2v_graph::ops::disjoint_union;
     use x2v_linalg::vector::dot;
-    use x2v_wl::features::dataset_features;
+    use x2v_wl::features::dataset_sparse_features;
 
     #[test]
     fn embedding_dot_equals_wl_kernel() {
         let graphs = vec![cycle(5), path(5), star(4), cycle(6)];
         let emb = WlSubtreeEmbedding::fit(&graphs, 3);
-        let feats = dataset_features(&graphs, 3);
+        let feats = dataset_sparse_features(&graphs, 3);
         for i in 0..graphs.len() {
             for j in 0..graphs.len() {
                 let explicit = dot(&emb.embed(&graphs[i]), &emb.embed(&graphs[j]));
@@ -114,7 +115,7 @@ mod tests {
     fn discounted_embedding_matches_discounted_kernel() {
         let graphs = vec![cycle(4), path(4)];
         let emb = WlSubtreeEmbedding::fit_discounted(&graphs, 3);
-        let feats = dataset_features(&graphs, 3);
+        let feats = dataset_sparse_features(&graphs, 3);
         let explicit = dot(&emb.embed(&graphs[0]), &emb.embed(&graphs[1]));
         let kernel = feats[0].discounted_dot(&feats[1]);
         assert!((explicit - kernel).abs() < 1e-9);

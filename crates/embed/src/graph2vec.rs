@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use x2v_graph::Graph;
 use x2v_linalg::sampling::AliasTable;
 use x2v_linalg::vector::sigmoid;
-use x2v_wl::features::WlFeatureVector;
+use x2v_wl::features::SparseWlFeatures;
 use x2v_wl::Refiner;
 
 /// graph2vec hyperparameters.
@@ -69,10 +69,11 @@ impl FittedGraph2Vec {
         let mut bags: Vec<Bag> = Vec::with_capacity(graphs.len());
         let mut word_freq: Vec<f64> = Vec::new();
         for g in graphs {
-            let f = WlFeatureVector::compute(&mut refiner, g, config.depth);
+            let f = SparseWlFeatures::compute(&mut refiner, g, config.depth);
             let mut bag = Vec::new();
-            for (round, hist) in f.rounds.iter().enumerate() {
-                for (&c, &count) in hist {
+            for round in 0..f.num_rounds() {
+                let (keys, counts) = f.round(round);
+                for (&c, &count) in keys.iter().zip(counts) {
                     let next = word_index.len();
                     let id = *word_index.entry((round, c)).or_insert(next);
                     if id == word_freq.len() {
@@ -141,10 +142,11 @@ impl FittedGraph2Vec {
     /// seen in training are skipped (standard out-of-vocabulary handling).
     pub fn infer(&self, g: &Graph, seed: u64) -> Vec<f64> {
         let mut refiner = self.refiner.lock().expect("graph2vec refiner lock");
-        let f = WlFeatureVector::compute(&mut refiner, g, self.config.depth);
+        let f = SparseWlFeatures::compute(&mut refiner, g, self.config.depth);
         let mut bag = Vec::new();
-        for (round, hist) in f.rounds.iter().enumerate() {
-            for (&c, &count) in hist {
+        for round in 0..f.num_rounds() {
+            let (keys, counts) = f.round(round);
+            for (&c, &count) in keys.iter().zip(counts) {
                 if let Some(&id) = self.word_index.get(&(round, c)) {
                     bag.push((id, count as f64));
                 }

@@ -1,22 +1,14 @@
 //! Compressed sparse row (CSR) adjacency: the flat `offsets`/`targets`
 //! layout the hot loops scan.
 //!
-//! [`Graph`] already stores its neighbour lists in CSR form; this module
-//! makes that layout a first-class citizen. [`CsrView`] is the zero-copy
-//! borrowed view ([`Graph::csr`]) that WL refinement and walk generation
-//! iterate — two flat arrays, no per-node indirection, cache-friendly
-//! sequential scans. [`Csr`] is the owned variant for building adjacency
-//! directly from edge streams or per-node lists without going through
-//! [`Graph`]'s simple-graph validation (parallel edges and self-loops are
-//! representable; WL and walks are well defined on multigraphs).
-//!
-//! Invariants shared by both: `offsets` has length `n + 1`, starts at `0`,
-//! is non-decreasing and ends at `targets.len()`; each node's target slice
-//! is sorted ascending. Construction canonicalises input order, so two
-//! builds from the same multiset of edges are byte-identical — the
-//! deterministic-ordering contract the round-trip proptests pin down.
+//! [`Graph`] stores its neighbour lists in CSR form; [`CsrView`] is the
+//! zero-copy borrowed view of that layout ([`Graph::csr`]) that node2vec
+//! walk generation scans — two flat arrays, no per-node indirection,
+//! cache-friendly sequential scans. `offsets` has length `n + 1`, starts
+//! at `0`, is non-decreasing and ends at `targets.len()`; each node's
+//! target slice is sorted ascending.
 
-use crate::{Graph, GraphError, Result};
+use crate::Graph;
 
 /// A borrowed CSR adjacency view: two flat slices.
 ///
@@ -29,23 +21,6 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
-    /// Wraps raw CSR arrays.
-    ///
-    /// # Panics
-    /// If the arrays violate the CSR invariants (empty/non-monotone
-    /// offsets, dangling final offset).
-    pub fn new(offsets: &'a [usize], targets: &'a [usize]) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have length n + 1");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().expect("non-empty"),
-            targets.len(),
-            "final offset must equal targets.len()"
-        );
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        CsrView { offsets, targets }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn order(&self) -> usize {
@@ -86,7 +61,7 @@ impl<'a> CsrView<'a> {
 
 impl Graph {
     /// Zero-copy CSR view of this graph's adjacency — the representation
-    /// the WL and walk hot loops scan.
+    /// the walk hot loop scans.
     #[inline]
     pub fn csr(&self) -> CsrView<'_> {
         CsrView {
@@ -96,131 +71,9 @@ impl Graph {
     }
 }
 
-/// An owned CSR adjacency structure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Csr {
-    offsets: Vec<usize>,
-    targets: Vec<usize>,
-}
-
-impl Csr {
-    /// Copies a graph's adjacency into an owned CSR.
-    pub fn from_graph(g: &Graph) -> Self {
-        let v = g.csr();
-        Csr {
-            offsets: v.offsets().to_vec(),
-            targets: v.targets().to_vec(),
-        }
-    }
-
-    /// Builds from per-node adjacency lists. Lists may be unsorted; they
-    /// are canonicalised (sorted ascending) so the result depends only on
-    /// each node's neighbour *multiset*. Entries must be `< adj.len()`.
-    ///
-    /// # Errors
-    /// [`GraphError::NodeOutOfRange`] on a dangling target.
-    pub fn from_adjacency(adj: &[Vec<usize>]) -> Result<Self> {
-        let n = adj.len();
-        let total: usize = adj.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0);
-        for list in adj {
-            let start = targets.len();
-            for &w in list {
-                if w >= n {
-                    return Err(GraphError::NodeOutOfRange { node: w, order: n });
-                }
-                targets.push(w);
-            }
-            targets[start..].sort_unstable();
-            offsets.push(targets.len());
-        }
-        Ok(Csr { offsets, targets })
-    }
-
-    /// Builds the symmetric adjacency of an undirected edge multiset on
-    /// `n` nodes: every edge `{u, v}` contributes `v` to `u`'s list and
-    /// `u` to `v`'s. Edge order is irrelevant (lists are canonicalised).
-    ///
-    /// # Errors
-    /// [`GraphError::NodeOutOfRange`] on an out-of-range endpoint.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self> {
-        let mut degree = vec![0usize; n];
-        for &(u, v) in edges {
-            if u >= n {
-                return Err(GraphError::NodeOutOfRange { node: u, order: n });
-            }
-            if v >= n {
-                return Err(GraphError::NodeOutOfRange { node: v, order: n });
-            }
-            degree[u] += 1;
-            degree[v] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for v in 0..n {
-            offsets.push(offsets[v] + degree[v]);
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0usize; offsets[n]];
-        for &(u, v) in edges {
-            targets[cursor[u]] = v;
-            cursor[u] += 1;
-            targets[cursor[v]] = u;
-            cursor[v] += 1;
-        }
-        for v in 0..n {
-            targets[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        Ok(Csr { offsets, targets })
-    }
-
-    /// The borrowed view over this structure.
-    #[inline]
-    pub fn view(&self) -> CsrView<'_> {
-        CsrView {
-            offsets: &self.offsets,
-            targets: &self.targets,
-        }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn order(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total stored target entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Sorted neighbour slice of `v`.
-    #[inline]
-    pub fn neighbours(&self, v: usize) -> &[usize] {
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
-    }
-
-    /// Expands back into per-node adjacency lists (each sorted).
-    pub fn to_adjacency(&self) -> Vec<Vec<usize>> {
-        (0..self.order())
-            .map(|v| self.neighbours(v).to_vec())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::generators::{cycle, petersen};
+    use crate::generators::petersen;
 
     #[test]
     fn view_matches_graph_accessors() {
@@ -233,47 +86,5 @@ mod tests {
             assert_eq!(v.degree(u), g.degree(u));
         }
         assert_eq!(v.offsets().len(), g.order() + 1);
-    }
-
-    #[test]
-    fn from_graph_round_trips_through_adjacency() {
-        let g = cycle(7);
-        let c = Csr::from_graph(&g);
-        let back = Csr::from_adjacency(&c.to_adjacency()).unwrap();
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn from_edges_order_independent() {
-        let a = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let b = Csr::from_edges(4, &[(2, 3), (0, 1), (2, 1)]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.neighbours(2), &[1, 3]);
-    }
-
-    #[test]
-    fn multigraph_entries_are_kept() {
-        // Parallel edge and self-loop are representable in raw CSR.
-        let c = Csr::from_edges(2, &[(0, 1), (0, 1), (1, 1)]).unwrap();
-        assert_eq!(c.neighbours(0), &[1, 1]);
-        assert_eq!(c.neighbours(1), &[0, 0, 1, 1]);
-        assert_eq!(c.nnz(), 6);
-    }
-
-    #[test]
-    fn out_of_range_rejected() {
-        assert!(matches!(
-            Csr::from_edges(2, &[(0, 2)]),
-            Err(GraphError::NodeOutOfRange { node: 2, order: 2 })
-        ));
-        assert!(Csr::from_adjacency(&[vec![1], vec![9]]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "final offset")]
-    fn view_rejects_dangling_offsets() {
-        let targets = [0usize, 1];
-        let offsets = [0usize, 1, 3];
-        let _ = CsrView::new(&offsets[..2], &targets);
     }
 }

@@ -21,10 +21,9 @@
 //!   forms for small graphs;
 //! * [`hash`] — a fast FxHash-style hasher used by the hot colour-interning
 //!   paths of the WL crate;
-//! * [`csr`] — the flat compressed-sparse-row adjacency layout as a
-//!   first-class type: a zero-copy [`csr::CsrView`] over a [`Graph`]
-//!   ([`Graph::csr`]) plus an owned [`csr::Csr`] built straight from edge
-//!   streams, scanned by the WL-refinement and walk-generation hot loops.
+//! * [`csr`] — [`csr::CsrView`], a zero-copy view of a [`Graph`]'s
+//!   compressed-sparse-row adjacency ([`Graph::csr`]), scanned by the
+//!   walk-generation hot loop.
 //!
 //! All node indices are `usize` in `0..n`. Graphs are simple (no loops, no
 //! parallel edges); builders reject violations with [`GraphError`].

@@ -110,45 +110,4 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..6).collect::<Vec<usize>>());
     }
-
-    #[test]
-    fn csr_from_edges_matches_graph_and_round_trips(g in arb_graph()) {
-        use x2v_graph::csr::Csr;
-        let edges = g.edge_vec();
-        let c = Csr::from_edges(g.order(), &edges).unwrap();
-        // Same neighbour sets and degrees as the validated Graph build.
-        prop_assert_eq!(c.order(), g.order());
-        prop_assert_eq!(c.nnz(), 2 * g.size());
-        for v in 0..g.order() {
-            prop_assert_eq!(c.neighbours(v), g.neighbours(v));
-            prop_assert_eq!(c.degree(v), g.degree(v));
-        }
-        // Handshake: degree sum equals stored entries.
-        let degree_sum: usize = (0..c.order()).map(|v| c.degree(v)).sum();
-        prop_assert_eq!(degree_sum, c.nnz());
-        // Round-trip through adjacency lists is the identity.
-        prop_assert_eq!(&Csr::from_adjacency(&c.to_adjacency()).unwrap(), &c);
-        // From-graph copy and zero-copy view agree with the rebuilt CSR.
-        prop_assert_eq!(&Csr::from_graph(&g), &c);
-        prop_assert_eq!(g.csr().offsets(), c.view().offsets());
-        prop_assert_eq!(g.csr().targets(), c.view().targets());
-    }
-
-    #[test]
-    fn csr_build_is_edge_order_independent(g in arb_graph(), seed in any::<u64>()) {
-        use x2v_graph::csr::Csr;
-        let mut edges = g.edge_vec();
-        let forward = Csr::from_edges(g.order(), &edges).unwrap();
-        // Seeded shuffle plus endpoint flips: same multiset, different order.
-        let mut s = seed | 1;
-        for i in (1..edges.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            edges.swap(i, (s >> 33) as usize % (i + 1));
-            if s & 1 == 1 {
-                let (u, v) = edges[i];
-                edges[i] = (v, u);
-            }
-        }
-        prop_assert_eq!(Csr::from_edges(g.order(), &edges).unwrap(), forward);
-    }
 }

@@ -1,9 +1,11 @@
 //! Gram-matrix utilities: centering, cosine normalisation, PSD checks, and
 //! crash-safe row-block construction ([`gram_resumable`]).
 
+use std::hash::Hasher;
 use x2v_ckpt::codec::{Dec, Enc};
 use x2v_ckpt::crc32::Crc32;
 use x2v_core::GraphKernel;
+use x2v_graph::hash::FxHasher;
 use x2v_graph::Graph;
 use x2v_guard::GuardError;
 use x2v_linalg::eigen::sym_eigenvalues;
@@ -21,40 +23,68 @@ pub const CKPT_KIND: &str = "gram-rows";
 /// Completed rows between checkpoint saves in [`gram_resumable`].
 const ROW_BLOCK: usize = 8;
 
-/// Fingerprints the dataset shape so a checkpoint built from different
-/// graphs is rejected (cold start) instead of silently merged.
+/// Fingerprints the dataset — every graph's order, labels and adjacency —
+/// so a checkpoint built from different graphs is rejected (cold start)
+/// instead of silently merged.
 fn gram_fingerprint(graphs: &[Graph]) -> u32 {
     let mut c = Crc32::new();
     c.update(CKPT_KIND.as_bytes());
     c.update_u64(graphs.len() as u64);
     for g in graphs {
+        // Word-at-a-time: a byte-wise CRC of every label and adjacency
+        // entry costs about a seventh of a small WL Gram build.
+        let mut h = FxHasher::default();
+        let csr = g.csr();
+        for &l in g.labels() {
+            h.write_u32(l);
+        }
+        for &x in csr.offsets().iter().chain(csr.targets()) {
+            h.write_usize(x);
+        }
         c.update_u64(g.order() as u64);
-        c.update_u64(g.size() as u64);
+        c.update_u64(h.finish());
     }
     c.finish()
 }
 
-/// Builds the Gram matrix `K[i][j] = kernel.eval(graphs[i], graphs[j])`
-/// with row-block checkpoints: when an ambient [`x2v_ckpt::Store`] is
-/// installed, the partial matrix is persisted under `job` every
-/// [`ROW_BLOCK`] completed outer rows, and — with [`x2v_ckpt::set_resume`]
-/// in effect — construction restarts from the last completed row instead
-/// of from scratch. The symmetric fill order matches
-/// [`GraphKernel::gram`]'s default, and `eval` is deterministic, so the
-/// resumed matrix is bit-identical to an uninterrupted build.
+/// Evaluates every Gram entry with [`GraphKernel::eval`], hiding the
+/// wrapped kernel's [`GraphKernel::entries`] override: the pairwise
+/// reference that feature-map Gram builds are checked and benchmarked
+/// against.
+pub struct PairwiseEval<'a, K: ?Sized>(pub &'a K);
+
+impl<K: GraphKernel + ?Sized> GraphKernel for PairwiseEval<'_, K> {
+    fn eval(&self, g: &Graph, h: &Graph) -> f64 {
+        self.0.eval(g, h)
+    }
+}
+
+/// Builds the Gram matrix `K[i][j] = K(graphs[i], graphs[j])` from
+/// [`GraphKernel::entries`] — one preparation pass over the dataset (for a
+/// feature-map kernel, one feature extraction per graph), then one
+/// evaluator call per upper-triangle entry — with row-block checkpoints:
+/// when an ambient [`x2v_ckpt::Store`] is installed, the partial matrix is
+/// persisted under `job` every [`ROW_BLOCK`] completed outer rows, and —
+/// with [`x2v_ckpt::set_resume`] in effect — construction restarts from
+/// the last completed row instead of from scratch. The checkpoint is bound
+/// to every graph's labels and adjacency. The symmetric fill order
+/// matches [`GraphKernel::gram`], and the evaluator is deterministic, so
+/// the resumed matrix is bit-identical to an uninterrupted build.
 ///
 /// Rows within a block are evaluated in parallel (`x2v-par`); the kernel
 /// must therefore be `Sync`. Determinism survives: the row set of each
 /// block is fixed by the checkpoint block boundaries, each row's entries
 /// are computed by a single worker in `j` order, and rows are written
-/// back in row order.
+/// back in row order. The preparation pass runs as a fallible `x2v-par`
+/// job too, so a panic anywhere in the build surfaces as a typed error.
 ///
-/// The ambient [`x2v_guard::Budget`] is metered one work unit per kernel
-/// evaluation at [`BUILD_SITE`] — *pre-charged row by row on the
-/// coordinator, in row order, before the block is dispatched*, so a
-/// work-limit trip cuts the build at the same row on every run and at
-/// every thread count. Workers poll the budget's deadline/cancel between
-/// rows ([`x2v_guard::Budget::poll`]), which costs no work units. A
+/// The ambient [`x2v_guard::Budget`] is metered one work unit per Gram
+/// entry at [`BUILD_SITE`] — *pre-charged row by row on the coordinator,
+/// in row order, before the block is dispatched*, so a work-limit trip
+/// cuts the build at the same row on every run, at every thread count and
+/// for every kernel. Workers poll the budget's deadline/cancel between
+/// rows ([`x2v_guard::Budget::poll`]), which costs no work units. The
+/// preparation pass is not metered (it is linear in the dataset). A
 /// partial Gram matrix is unusable downstream (CV folds need every
 /// entry), so a budget trip surfaces as `Err` — but the completed rows
 /// are checkpointed first, so the work is durable and a re-run with a
@@ -62,8 +92,8 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
 ///
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] from the
-/// ambient budget; [`GuardError::WorkerPanic`] if a parallel row
-/// evaluation panics.
+/// ambient budget; [`GuardError::WorkerPanic`] if preparation or a
+/// parallel row evaluation panics.
 pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
     kernel: &K,
     graphs: &[Graph],
@@ -71,80 +101,7 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
 ) -> x2v_guard::Result<Matrix> {
     let _timer = x2v_obs::span("kernel/gram_build");
     let n = graphs.len();
-    build_rows_resumable(n, gram_fingerprint(graphs), job, |i| {
-        (i..n)
-            .map(|j| kernel.eval(&graphs[i], &graphs[j]))
-            .collect()
-    })
-}
-
-/// Builds the Gram matrix of a [`crate::wl::WlSubtreeKernel`] from *one*
-/// feature-extraction pass: every graph is refined exactly once through a
-/// shared interner, and each Gram entry is a sparse merge-join dot product
-/// of two [`x2v_wl::features::SparseWlFeatures`] vectors. This collapses
-/// the `N × N` kernel evaluations of the pairwise path — each of which
-/// re-refines both graphs from scratch — to `O(N · refine + nnz)` work.
-///
-/// **Exact-equivalence contract:** the result is bit-for-bit identical to
-/// [`gram_resumable`] with the same kernel (and to pairwise
-/// [`GraphKernel::eval`]). Per-round sums of products of node counts are
-/// integer-valued and therefore exact in `f64` regardless of summation
-/// order, and both paths combine the per-round sums in ascending round
-/// order — so even the discounted variant's `2^{-i}` weighting rounds
-/// identically. The `tests/feat_equivalence.rs` battery asserts this on
-/// randomized datasets across thread counts.
-///
-/// Composes with the same machinery as [`gram_resumable`]: row-block
-/// checkpoints under `job` (the fingerprint additionally binds the round
-/// count and discounting, so pairwise and feature checkpoints never merge),
-/// `x2v-par` row fan-out, and ambient-budget metering of one work unit per
-/// Gram entry at [`BUILD_SITE`] — a budget sized in entries trips at the
-/// same row on either path. The feature-extraction pass itself is not
-/// metered (it is the cheap, linear part).
-///
-/// # Errors
-/// As [`gram_resumable`].
-pub fn gram_from_features(
-    kernel: &crate::wl::WlSubtreeKernel,
-    graphs: &[Graph],
-    job: &str,
-) -> x2v_guard::Result<Matrix> {
-    let _timer = x2v_obs::span("kernel/gram_feat");
-    let n = graphs.len();
-    let mut c = Crc32::new();
-    c.update(b"gram-feat");
-    c.update_u64(gram_fingerprint(graphs) as u64);
-    c.update_u64(kernel.rounds() as u64);
-    c.update_u64(kernel.is_discounted() as u64);
-    let fingerprint = c.finish();
-    let feats = x2v_wl::features::dataset_sparse_features(graphs, kernel.rounds());
-    x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-    build_rows_resumable(n, fingerprint, job, |i| {
-        (i..n)
-            .map(|j| {
-                if kernel.is_discounted() {
-                    feats[i].discounted_dot(&feats[j])
-                } else {
-                    feats[i].dot(&feats[j])
-                }
-            })
-            .collect()
-    })
-}
-
-/// The shared row-block core of [`gram_resumable`] and
-/// [`gram_from_features`]: resumable, budget-metered construction of a
-/// symmetric `n × n` matrix from a row evaluator. `row_eval(i)` must
-/// return the entries `i..n` of row `i`, deterministically.
-fn build_rows_resumable<F>(
-    n: usize,
-    fingerprint: u32,
-    job: &str,
-    row_eval: F,
-) -> x2v_guard::Result<Matrix>
-where
-    F: Fn(usize) -> Vec<f64> + Sync,
-{
+    let fingerprint = gram_fingerprint(graphs);
     let store = x2v_ckpt::ambient();
     let mut m = Matrix::zeros(n, n);
     let mut start_row = 0usize;
@@ -184,6 +141,11 @@ where
         }
     };
 
+    // Preparation may fan out on x2v-par itself; as a one-item fallible
+    // job, a worker panic there surfaces as `WorkerPanic`, not a re-panic.
+    let entry = x2v_par::try_map_items(1, 1, |_| Ok(kernel.entries(graphs)))?
+        .pop()
+        .expect("a one-item job returns one result");
     let budget = x2v_guard::ambient();
     let mut meter = budget.meter(BUILD_SITE);
     let mut block_start = start_row;
@@ -191,10 +153,10 @@ where
         // Blocks end on global ROW_BLOCK multiples so checkpoint points
         // don't depend on where a resume happened to restart.
         let block_end = ((block_start / ROW_BLOCK + 1) * ROW_BLOCK).min(n);
-        // Pre-charge each row's evaluations in row order on the
-        // coordinator: a work-limit trip therefore cuts at a row index
-        // that is a pure function of the budget and the input — never of
-        // the thread count.
+        // Pre-charge each row's entries in row order on the coordinator:
+        // a work-limit trip therefore cuts at a row index that is a pure
+        // function of the budget and the input — never of the thread
+        // count.
         let mut cut = block_end;
         let mut trip = None;
         for i in block_start..block_end {
@@ -209,7 +171,7 @@ where
         let outcome = x2v_par::try_map_items(cut - block_start, 1, |off| {
             let i = block_start + off;
             budget.poll(BUILD_SITE)?;
-            Ok(row_eval(i))
+            Ok((i..n).map(|j| entry(i, j)).collect::<Vec<f64>>())
         });
         match outcome {
             Ok(rows) => {
@@ -480,33 +442,24 @@ mod tests {
         assert!(got.approx_eq(&expected, 0.0), "fill order must match");
     }
 
-    fn mixed_graphs() -> Vec<Graph> {
-        use x2v_graph::generators::{cycle, path, star};
-        vec![
+    #[test]
+    fn gram_resumable_bit_equals_pairwise_eval() {
+        use crate::wl::WlSubtreeKernel;
+        use x2v_graph::generators::{cycle, path, petersen, star};
+        let graphs = vec![
             cycle(5),
             path(7),
             star(4),
-            x2v_graph::generators::petersen(),
+            petersen(),
             x2v_graph::ops::disjoint_union(&cycle(3), &path(4)),
-        ]
-    }
-
-    #[test]
-    fn gram_from_features_bit_equals_pairwise() {
-        use crate::wl::WlSubtreeKernel;
-        let graphs = mixed_graphs();
+        ];
         for kernel in [WlSubtreeKernel::new(3), WlSubtreeKernel::discounted(4)] {
-            let pairwise = gram_resumable(&kernel, &graphs, "test-gram-pairwise").unwrap();
-            let feat = gram_from_features(&kernel, &graphs, "test-gram-feat").unwrap();
-            for i in 0..graphs.len() {
-                for j in 0..graphs.len() {
-                    assert_eq!(
-                        feat[(i, j)].to_bits(),
-                        pairwise[(i, j)].to_bits(),
-                        "entry ({i},{j}), discounted={}",
-                        kernel.is_discounted()
-                    );
-                }
+            let feat = gram_resumable(&kernel, &graphs, "test-gram-feat").unwrap();
+            let pairwise =
+                gram_resumable(&PairwiseEval(&kernel), &graphs, "test-gram-pairwise").unwrap();
+            assert_eq!(feat.as_slice().len(), pairwise.as_slice().len());
+            for (a, b) in feat.as_slice().iter().zip(pairwise.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

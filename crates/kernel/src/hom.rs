@@ -61,18 +61,13 @@ impl GraphKernel for LogHomKernel {
         x2v_linalg::vector::dot(&self.basis.embed_log(g), &self.basis.embed_log(h))
     }
 
-    fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix {
+    /// Embeds every graph once; entries are dots of the embeddings.
+    fn entries<'a>(
+        &'a self,
+        graphs: &'a [Graph],
+    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
         let embeds: Vec<Vec<f64>> = graphs.iter().map(|g| self.basis.embed_log(g)).collect();
-        let n = graphs.len();
-        let mut m = x2v_linalg::Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = x2v_linalg::vector::dot(&embeds[i], &embeds[j]);
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+        Box::new(move |i, j| x2v_linalg::vector::dot(&embeds[i], &embeds[j]))
     }
 }
 
@@ -97,7 +92,10 @@ mod tests {
         assert!(is_psd(&gram, 1e-9));
         for i in 0..graphs.len() {
             for j in 0..graphs.len() {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+                assert_eq!(
+                    gram[(i, j)].to_bits(),
+                    k.eval(&graphs[i], &graphs[j]).to_bits()
+                );
             }
         }
     }

@@ -2,8 +2,7 @@
 
 use x2v_core::GraphKernel;
 use x2v_graph::Graph;
-use x2v_linalg::Matrix;
-use x2v_wl::features::WlFeatureVector;
+use x2v_wl::features::{dataset_sparse_features, SparseWlFeatures};
 use x2v_wl::Refiner;
 
 /// The t-round WL subtree kernel
@@ -54,7 +53,7 @@ impl WlSubtreeKernel {
         self.discounted
     }
 
-    fn dot(&self, a: &WlFeatureVector, b: &WlFeatureVector) -> f64 {
+    fn dot(&self, a: &SparseWlFeatures, b: &SparseWlFeatures) -> f64 {
         if self.discounted {
             a.discounted_dot(b)
         } else {
@@ -64,39 +63,25 @@ impl WlSubtreeKernel {
 }
 
 impl GraphKernel for WlSubtreeKernel {
+    /// The pairwise reference: refines both graphs through a fresh
+    /// interner and dots their histograms.
     fn eval(&self, g: &Graph, h: &Graph) -> f64 {
         let mut r = Refiner::new();
-        let fg = WlFeatureVector::compute(&mut r, g, self.rounds);
-        let fh = WlFeatureVector::compute(&mut r, h, self.rounds);
+        let fg = SparseWlFeatures::compute(&mut r, g, self.rounds);
+        let fh = SparseWlFeatures::compute(&mut r, h, self.rounds);
         self.dot(&fg, &fh)
     }
 
-    fn gram(&self, graphs: &[Graph]) -> Matrix {
-        let _timer = x2v_obs::span("kernel/gram");
-        // Batch path: compute every feature vector once through one shared
-        // interner (serial — the interner is the shared mutable state),
-        // then fan the O(n²) dot products out over parallel row chunks.
-        let mut refiner = Refiner::new();
-        let feats: Vec<WlFeatureVector> = graphs
-            .iter()
-            .map(|g| WlFeatureVector::compute(&mut refiner, g, self.rounds))
-            .collect();
-        let n = graphs.len();
-        x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-        let rows = x2v_par::map_items(n, 1, |i| {
-            (i..n)
-                .map(|j| self.dot(&feats[i], &feats[j]))
-                .collect::<Vec<f64>>()
-        });
-        let mut m = Matrix::zeros(n, n);
-        for (i, row) in rows.into_iter().enumerate() {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+    /// Refines every graph once through one shared interner; each entry is
+    /// then a sparse merge-join dot. Bit-identical to [`Self::eval`]: each
+    /// per-round sum of count products is an integer below `2^53`, exact in
+    /// `f64` in any order, and both combine rounds in ascending order.
+    fn entries<'a>(
+        &'a self,
+        graphs: &'a [Graph],
+    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
+        let feats = dataset_sparse_features(graphs, self.rounds);
+        Box::new(move |i, j| self.dot(&feats[i], &feats[j]))
     }
 }
 
@@ -110,11 +95,15 @@ mod tests {
     #[test]
     fn gram_matches_pairwise_eval() {
         let graphs = vec![cycle(5), path(5), star(4)];
-        let k = WlSubtreeKernel::new(3);
-        let gram = k.gram(&graphs);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+        for k in [WlSubtreeKernel::new(3), WlSubtreeKernel::discounted(4)] {
+            let gram = k.gram(&graphs);
+            for i in 0..3 {
+                for j in 0..3 {
+                    assert_eq!(
+                        gram[(i, j)].to_bits(),
+                        k.eval(&graphs[i], &graphs[j]).to_bits()
+                    );
+                }
             }
         }
     }

@@ -11,7 +11,6 @@
 use x2v_core::GraphKernel;
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
-use x2v_linalg::Matrix;
 use x2v_wl::kwl::KwlRefiner;
 
 /// The 2-WL tuple-colour kernel.
@@ -52,29 +51,18 @@ impl GraphKernel for Wl2Kernel {
         hist_dot(&a, &b)
     }
 
-    fn gram(&self, graphs: &[Graph]) -> Matrix {
-        // One shared interner for the whole batch (serial), parallel dot
-        // products over the aligned histograms.
+    /// One shared interner for the whole dataset, so each graph is
+    /// refined once; entries are dots of the aligned histograms.
+    fn entries<'a>(
+        &'a self,
+        graphs: &'a [Graph],
+    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
         let mut r = KwlRefiner::new(2);
         let hists: Vec<FxHashMap<u64, u64>> = graphs
             .iter()
             .map(|g| r.run_rounds(g, self.rounds).histogram())
             .collect();
-        let n = graphs.len();
-        let rows = x2v_par::map_items(n, 1, |i| {
-            (i..n)
-                .map(|j| hist_dot(&hists[i], &hists[j]))
-                .collect::<Vec<f64>>()
-        });
-        let mut m = Matrix::zeros(n, n);
-        for (i, row) in rows.into_iter().enumerate() {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+        Box::new(move |i, j| hist_dot(&hists[i], &hists[j]))
     }
 }
 
@@ -113,7 +101,10 @@ mod tests {
         let gram = k.gram(&graphs);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+                assert_eq!(
+                    gram[(i, j)].to_bits(),
+                    k.eval(&graphs[i], &graphs[j]).to_bits()
+                );
             }
         }
     }

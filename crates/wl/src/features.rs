@@ -9,89 +9,7 @@
 
 use crate::interner::Colour;
 use crate::refine::Refiner;
-use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
-
-/// Per-round sparse colour histograms of one graph.
-#[derive(Clone, Debug)]
-pub struct WlFeatureVector {
-    /// `rounds[i]` maps colour → `wl(c, G)` at round `i`.
-    pub rounds: Vec<FxHashMap<Colour, u64>>,
-}
-
-impl WlFeatureVector {
-    /// Computes the feature vector of `g` with `t` refinement rounds through
-    /// the given refiner. Using one refiner for a whole dataset makes all
-    /// vectors live in the same feature space.
-    pub fn compute(refiner: &mut Refiner, g: &Graph, t: usize) -> Self {
-        let _timer = x2v_obs::span("wl/feature_vector");
-        let history = refiner.refine_rounds(g, t);
-        let rounds = (0..=t).map(|i| history.histogram(i)).collect();
-        WlFeatureVector { rounds }
-    }
-
-    /// Number of rounds stored (including round 0).
-    pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total number of non-zero features.
-    pub fn nnz(&self) -> usize {
-        self.rounds.iter().map(FxHashMap::len).sum()
-    }
-
-    /// The t-round WL kernel value `Σ_i Σ_c wl(c,G)·wl(c,H)`.
-    pub fn dot(&self, other: &WlFeatureVector) -> f64 {
-        self.weighted_dot(other, |_| 1.0)
-    }
-
-    /// The discounted kernel `K_WL = Σ_i 2^{-i} Σ_c wl(c,G)·wl(c,H)`.
-    pub fn discounted_dot(&self, other: &WlFeatureVector) -> f64 {
-        self.weighted_dot(other, |i| 0.5f64.powi(i as i32))
-    }
-
-    /// Generic per-round weighting.
-    pub fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &WlFeatureVector, w: W) -> f64 {
-        let rounds = self.rounds.len().min(other.rounds.len());
-        let mut total = 0.0;
-        for i in 0..rounds {
-            let (small, large) = if self.rounds[i].len() <= other.rounds[i].len() {
-                (&self.rounds[i], &other.rounds[i])
-            } else {
-                (&other.rounds[i], &self.rounds[i])
-            };
-            let mut round_sum = 0.0;
-            for (c, &a) in small {
-                if let Some(&b) = large.get(c) {
-                    round_sum += a as f64 * b as f64;
-                }
-            }
-            total += w(i) * round_sum;
-        }
-        total
-    }
-
-    /// Flattens into an explicit sparse vector of `(round, colour, count)`.
-    pub fn to_sparse(&self) -> Vec<(usize, Colour, u64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for (i, hist) in self.rounds.iter().enumerate() {
-            for (&c, &n) in hist {
-                out.push((i, c, n));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Computes feature vectors for a whole dataset through one shared refiner.
-pub fn dataset_features(graphs: &[Graph], t: usize) -> Vec<WlFeatureVector> {
-    let mut refiner = Refiner::new();
-    graphs
-        .iter()
-        .map(|g| WlFeatureVector::compute(&mut refiner, g, t))
-        .collect()
-}
 
 /// Per-round colour histograms in a flat sorted-CSR layout: three dense
 /// arrays instead of one hash map per round.
@@ -100,16 +18,16 @@ pub fn dataset_features(graphs: &[Graph], t: usize) -> Vec<WlFeatureVector> {
 /// `keys` (strictly increasing colours) and `counts` (their multiplicities).
 /// The layout makes the kernel inner product a *merge-join* over two sorted
 /// runs — no hashing, no probing, perfectly predictable scans — which is
-/// what `x2v-kernel`'s single-pass Gram builder runs in its hot loop.
+/// what every Gram entry of `x2v-kernel`'s WL subtree kernel runs.
 ///
 /// ## Bit-exactness
 ///
-/// [`SparseWlFeatures::weighted_dot`] is bit-identical to
-/// [`WlFeatureVector::weighted_dot`] even though the two accumulate each
-/// round in different orders: per-round sums of products of node counts are
-/// integer-valued, and integer-valued `f64` arithmetic below `2^53` is
-/// exact in *any* summation order. Both paths then combine the per-round
-/// sums in ascending round order, so the final bits agree too.
+/// Per-round sums of products of node counts are integer-valued, and
+/// integer-valued `f64` arithmetic below `2^53` is exact in *any* summation
+/// order; the per-round sums are combined in ascending round order. Dots
+/// of the same pair of graphs therefore agree bit for bit whichever
+/// interner coloured them, which is what lets a Gram matrix built from one
+/// shared interner reproduce pairwise kernel evaluation exactly.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseWlFeatures {
     round_offsets: Vec<usize>,
@@ -119,8 +37,7 @@ pub struct SparseWlFeatures {
 
 impl SparseWlFeatures {
     /// Builds from per-round colour slices (`rounds[i][v]` = colour of node
-    /// `v` at round `i`), as recorded by both [`crate::WlHistory`] and
-    /// [`crate::hashwl::HashWlHistory`].
+    /// `v` at round `i`), as recorded by [`crate::WlHistory`].
     pub fn from_colour_rounds(rounds: &[Vec<u64>]) -> Self {
         let mut f = SparseWlFeatures {
             round_offsets: Vec::with_capacity(rounds.len() + 1),
@@ -149,27 +66,6 @@ impl SparseWlFeatures {
                 }
                 f.keys.push(key);
                 f.counts.push(count);
-            }
-            f.round_offsets.push(f.keys.len());
-        }
-        f
-    }
-
-    /// Converts a hash-map feature vector into the flat layout (same
-    /// feature space, so dots agree bit-for-bit; see the type docs).
-    pub fn from_feature_vector(v: &WlFeatureVector) -> Self {
-        let mut f = SparseWlFeatures {
-            round_offsets: Vec::with_capacity(v.rounds.len() + 1),
-            keys: Vec::new(),
-            counts: Vec::new(),
-        };
-        f.round_offsets.push(0);
-        for hist in &v.rounds {
-            let mut entries: Vec<(u64, u64)> = hist.iter().map(|(&c, &n)| (c, n)).collect();
-            entries.sort_unstable();
-            for (c, n) in entries {
-                f.keys.push(c);
-                f.counts.push(n);
             }
             f.round_offsets.push(f.keys.len());
         }
@@ -262,23 +158,6 @@ pub fn dataset_sparse_features(graphs: &[Graph], t: usize) -> Vec<SparseWlFeatur
         .collect()
 }
 
-/// Computes sparse feature vectors with hash colouring
-/// ([`crate::hashwl::HashRefiner`]): hash colours need no shared interner,
-/// so extraction fans out one graph per parallel item. Deterministic at any
-/// thread count — each graph's colours depend only on the graph and the
-/// refiner's seed.
-pub fn dataset_sparse_features_hashed(
-    graphs: &[Graph],
-    t: usize,
-    refiner: crate::hashwl::HashRefiner,
-) -> Vec<SparseWlFeatures> {
-    let _timer = x2v_obs::span("wl/dataset_features_hashed");
-    x2v_par::map_items(graphs.len(), 1, |i| {
-        let history = refiner.refine_rounds(&graphs[i], t);
-        SparseWlFeatures::from_colour_rounds(&history.rounds)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,26 +169,26 @@ mod tests {
         let mut r = Refiner::new();
         // P2 at round 0: one colour with count 2 → dot = 4; round 1: one
         // colour count 2 → total 8.
-        let f = WlFeatureVector::compute(&mut r, &path(2), 1);
+        let f = SparseWlFeatures::compute(&mut r, &path(2), 1);
         assert_eq!(f.dot(&f), 8.0);
     }
 
     #[test]
     fn isomorphic_graphs_same_features() {
-        let fs = dataset_features(&[cycle(5), permute(&cycle(5), &[3, 1, 4, 0, 2])], 3);
-        assert_eq!(fs[0].to_sparse(), fs[1].to_sparse());
+        let fs = dataset_sparse_features(&[cycle(5), permute(&cycle(5), &[3, 1, 4, 0, 2])], 3);
+        assert_eq!(fs[0], fs[1]);
         assert_eq!(fs[0].dot(&fs[1]), fs[0].dot(&fs[0]));
     }
 
     #[test]
     fn wl_equivalent_graphs_identical_vectors() {
-        let fs = dataset_features(&[cycle(6), disjoint_union(&cycle(3), &cycle(3))], 4);
-        assert_eq!(fs[0].to_sparse(), fs[1].to_sparse());
+        let fs = dataset_sparse_features(&[cycle(6), disjoint_union(&cycle(3), &cycle(3))], 4);
+        assert_eq!(fs[0], fs[1]);
     }
 
     #[test]
     fn different_graphs_lower_cross_kernel() {
-        let fs = dataset_features(&[path(4), star(3)], 2);
+        let fs = dataset_sparse_features(&[path(4), star(3)], 2);
         let cross = fs[0].dot(&fs[1]);
         let self0 = fs[0].dot(&fs[0]);
         let self1 = fs[1].dot(&fs[1]);
@@ -319,7 +198,7 @@ mod tests {
 
     #[test]
     fn discounting_reduces_later_rounds() {
-        let fs = dataset_features(&[cycle(4)], 3);
+        let fs = dataset_sparse_features(&[cycle(4)], 3);
         let f = &fs[0];
         // Regular graph: each round has a single colour of count 4, so
         // plain dot = 16 * 4 rounds, discounted = 16 * (1 + 1/2 + 1/4 + 1/8).
@@ -329,7 +208,7 @@ mod tests {
 
     #[test]
     fn nnz_and_sparse_roundtrip() {
-        let fs = dataset_features(&[path(4)], 2);
+        let fs = dataset_sparse_features(&[path(4)], 2);
         let f = &fs[0];
         assert_eq!(f.nnz(), f.to_sparse().len());
         // P4 round 0: 1 colour; round 1: 2 colours; round 2: 2 colours.
@@ -337,63 +216,21 @@ mod tests {
     }
 
     #[test]
-    fn sparse_features_match_hashmap_features_bitwise() {
-        let graphs = [
-            path(5),
-            cycle(6),
-            star(4),
-            disjoint_union(&path(3), &cycle(4)),
-        ];
-        let hv = dataset_features(&graphs, 3);
-        let sv = dataset_sparse_features(&graphs, 3);
-        for (h, s) in hv.iter().zip(&sv) {
-            assert_eq!(h.to_sparse(), s.to_sparse());
-            assert_eq!(&SparseWlFeatures::from_feature_vector(h), s);
-        }
-        for i in 0..graphs.len() {
-            for j in 0..graphs.len() {
-                assert_eq!(
-                    hv[i].dot(&hv[j]).to_bits(),
-                    sv[i].dot(&sv[j]).to_bits(),
-                    "plain dot ({i},{j})"
-                );
-                assert_eq!(
-                    hv[i].discounted_dot(&hv[j]).to_bits(),
-                    sv[i].discounted_dot(&sv[j]).to_bits(),
-                    "discounted dot ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sparse_round_slices_are_sorted_histograms() {
-        let sv = dataset_sparse_features(&[path(4)], 2);
-        let f = &sv[0];
-        assert_eq!(f.num_rounds(), 3);
-        let order: u64 = {
-            let (_, counts) = f.round(0);
-            counts.iter().sum()
-        };
-        assert_eq!(order, 4);
-        for i in 0..f.num_rounds() {
-            let (keys, counts) = f.round(i);
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "round {i} sorted");
-            assert_eq!(counts.iter().sum::<u64>(), 4, "round {i} mass");
-        }
-    }
-
-    #[test]
-    fn hashed_dataset_features_same_kernel_values() {
-        // Hash colours rename the colour universe but (absent collisions)
-        // preserve the partition per round, so all pairwise kernel values
-        // agree with the interner path exactly.
-        let graphs = [path(5), cycle(6), star(4)];
-        let sv = dataset_sparse_features(&graphs, 3);
-        let hv = dataset_sparse_features_hashed(&graphs, 3, crate::hashwl::HashRefiner::new());
-        for i in 0..graphs.len() {
-            for j in 0..graphs.len() {
-                assert_eq!(sv[i].dot(&sv[j]).to_bits(), hv[i].dot(&hv[j]).to_bits());
+        let graphs = [path(4), cycle(6), disjoint_union(&path(3), &cycle(4))];
+        let mut r = Refiner::new();
+        for g in &graphs {
+            let history = r.refine_rounds(g, 2);
+            let f = SparseWlFeatures::from_colour_rounds(&history.rounds);
+            assert_eq!(f.num_rounds(), 3);
+            for i in 0..f.num_rounds() {
+                let (keys, counts) = f.round(i);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "round {i} sorted");
+                let mut expected: Vec<(u64, u64)> = history.histogram(i).into_iter().collect();
+                expected.sort_unstable();
+                let got: Vec<(u64, u64)> =
+                    keys.iter().copied().zip(counts.iter().copied()).collect();
+                assert_eq!(got, expected, "round {i} histogram");
             }
         }
     }

@@ -13,14 +13,10 @@
 //!   indistinguishability over treewidth ≤ k (Theorem 4.4);
 //! * [`unfold`] — colours as rooted unfolding trees (Figure 5) and the
 //!   `wl(c, G)` counts of Section 3.5;
-//! * [`features`] — sparse per-round colour histograms, the explicit feature
-//!   map of the WL subtree kernel, including the flat sorted-CSR
-//!   [`features::SparseWlFeatures`] whose merge-join dot powers the
-//!   single-pass Gram builder in `x2v-kernel`;
-//! * [`hashwl`] — hash-based colouring: colours as seeded 64-bit hash
-//!   invariants over the CSR adjacency, with no interner and no per-node
-//!   allocations, plus cross-class collision detection
-//!   (`wl/hash_collisions`);
+//! * [`features`] — per-round colour histograms in a flat sorted-CSR
+//!   layout ([`features::SparseWlFeatures`]), the explicit feature map of
+//!   the WL subtree kernel, whose merge-join dot gives every Gram entry
+//!   of `x2v-kernel`'s WL kernel;
 //! * [`fractional`] — fractional isomorphism: combinatorial decision via the
 //!   common equitable partition plus an explicit doubly stochastic
 //!   certificate, exact over ℚ (Theorem 3.2).
@@ -57,7 +53,6 @@
 
 pub mod features;
 pub mod fractional;
-pub mod hashwl;
 mod interner;
 pub mod kwl;
 pub mod matrix;

@@ -19,7 +19,7 @@ use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{faults, Budget, CancelToken, GuardError};
-use x2v_kernel::gram::gram_resumable;
+use x2v_kernel::gram::{gram_resumable, PairwiseEval};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 use rand::rngs::StdRng;
@@ -117,7 +117,10 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
             token.cancel();
         })
     };
-    let res = x2v_par::with_threads(4, || gram_resumable(&kernel, &ds.graphs, "par-cancel"));
+    // Pairwise evaluation keeps this build running well past the 5 ms
+    // cancel; the feature-map entries would finish it in about 1 ms.
+    let pairwise = PairwiseEval(&kernel);
+    let res = x2v_par::with_threads(4, || gram_resumable(&pairwise, &ds.graphs, "par-cancel"));
     canceller.join().expect("canceller thread");
     x2v_guard::clear_ambient();
     assert!(
