@@ -3,9 +3,13 @@
 //!
 //! This realises the positive side of the Dalmau–Jonsson dichotomy the
 //! paper cites in Section 4.3: entries of `Hom_F(G)` are polynomial-time
-//! computable exactly when `F` has bounded treewidth. Combined with the
-//! specialised tree/path/cycle counters, it gives the workspace exact
-//! `hom(F, G)` for every pattern it enumerates.
+//! computable exactly when `F` has bounded treewidth. It counts any
+//! pattern, and it is the oracle the specialised counters are tested
+//! against. [`crate::vectors::HomBasis`] uses it only for patterns that
+//! are neither trees nor uniformly labelled cycles, which the tree DP and
+//! the closed-walk sweep count far more cheaply; those two plans meter
+//! their work at this module's [`SITE`] too, so one budget or armed fault
+//! at `hom/decomp` reaches every entry of a hom vector.
 
 use crate::treewidth::{exact_decomposition, TreeDecomposition};
 use x2v_graph::hash::FxHashMap;
@@ -170,13 +174,6 @@ pub fn try_hom_count_decomp(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard:
     try_hom_count_with_decomposition(f, g, &td, budget)
 }
 
-/// Like [`hom_count_decomp`] but with a caller-provided decomposition
-/// (useful when counting one pattern into many targets).
-pub fn hom_count_with_decomposition(f: &Graph, g: &Graph, td: &TreeDecomposition) -> u128 {
-    let budget = x2v_guard::ambient();
-    try_hom_count_with_decomposition(f, g, td, &budget).unwrap_or_else(|e| panic!("{e}"))
-}
-
 fn overflow(op: &str) -> GuardError {
     GuardError::numeric(
         SITE,
@@ -186,8 +183,10 @@ fn overflow(op: &str) -> GuardError {
     )
 }
 
-/// Fallible decomposition DP: the budget is ticked once per table entry
-/// touched, and every `u128` step is checked.
+/// Fallible decomposition DP over a caller-provided decomposition (so one
+/// pattern can be counted into many targets, as
+/// [`crate::vectors::HomBasis`] does): the budget is ticked once per table
+/// entry touched, and every `u128` step is checked.
 pub fn try_hom_count_with_decomposition(
     f: &Graph,
     g: &Graph,

@@ -28,7 +28,9 @@
 //! * [`weighted`] — partition functions: weighted homomorphism counts for
 //!   weighted target graphs (Theorem 4.13);
 //! * [`vectors`] — the embeddings `Hom_F`, their log-scaled practical form
-//!   `(1/|F|) log hom(F, G)`, and the kernel of eq. (4.1).
+//!   `(1/|F|) log hom(F, G)`, and the kernel of eq. (4.1); each basis
+//!   pattern is counted by the tree DP, a shared closed-walk sweep or the
+//!   decomposition DP, whichever its shape allows.
 //!
 //! The exponential hot paths ([`brute`], [`treewidth`], [`decomp`]) are
 //! metered through `x2v-guard`: each has `try_*` variants taking an

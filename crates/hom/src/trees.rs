@@ -8,6 +8,8 @@
 //! Counts are exact `u128`; the `f64` variants underpin the log-scaled
 //! embeddings of Section 4 where counts get "tremendously large".
 
+use std::convert::Infallible;
+
 use x2v_graph::Graph;
 
 /// Orders the tree's vertices so parents precede children; returns
@@ -39,6 +41,20 @@ fn root_order(tree: &Graph, root: usize) -> (Vec<usize>, Vec<usize>) {
 /// # Panics
 /// If `tree` is not a connected tree.
 pub fn rooted_hom_counts(tree: &Graph, root: usize, g: &Graph) -> Vec<u128> {
+    let Ok(counts) = try_rooted_hom_counts(tree, root, g, |_| Ok::<(), Infallible>(()));
+    counts
+}
+
+/// [`rooted_hom_counts`] with a work hook: `tick(n)` runs before each
+/// pattern vertex's `n` cells are filled, and an error from it stops the
+/// DP. This is how [`crate::vectors::HomBasis`] meters the DP against a
+/// budget.
+fn try_rooted_hom_counts<E>(
+    tree: &Graph,
+    root: usize,
+    g: &Graph,
+    mut tick: impl FnMut(u64) -> Result<(), E>,
+) -> Result<Vec<u128>, E> {
     let _timer = x2v_obs::span("hom/tree_dp");
     x2v_obs::counter_add("hom/tree_dp_cells", (tree.order() * g.order()) as u64);
     let (order, parent) = root_order(tree, root);
@@ -46,6 +62,7 @@ pub fn rooted_hom_counts(tree: &Graph, root: usize, g: &Graph) -> Vec<u128> {
     // h[u][v]: homs of subtree at u mapping u to v. Process children first.
     let mut h = vec![Vec::<u128>::new(); tree.order()];
     for &u in order.iter().rev() {
+        tick(n as u64)?;
         let mut hu: Vec<u128> = (0..n)
             .map(|v| u128::from(tree.label(u) == g.label(v)))
             .collect();
@@ -64,15 +81,25 @@ pub fn rooted_hom_counts(tree: &Graph, root: usize, g: &Graph) -> Vec<u128> {
         }
         h[u] = hu;
     }
-    std::mem::take(&mut h[root])
+    Ok(std::mem::take(&mut h[root]))
 }
 
 /// `hom(T, G)` for a tree `T` (rooted anywhere — the total is root-free).
 pub fn hom_count_tree(tree: &Graph, g: &Graph) -> u128 {
+    let Ok(count) = try_hom_count_tree(tree, g, |_| Ok::<(), Infallible>(()));
+    count
+}
+
+/// [`hom_count_tree`] with the work hook of [`try_rooted_hom_counts`].
+pub(crate) fn try_hom_count_tree<E>(
+    tree: &Graph,
+    g: &Graph,
+    tick: impl FnMut(u64) -> Result<(), E>,
+) -> Result<u128, E> {
     if tree.order() == 0 {
-        return 1;
+        return Ok(1);
     }
-    rooted_hom_counts(tree, 0, g).iter().sum()
+    Ok(try_rooted_hom_counts(tree, 0, g, tick)?.iter().sum())
 }
 
 /// `hom(F, G)` for a forest `F`: product over the tree components.

@@ -6,25 +6,86 @@
 //!
 //! `K_F(G, H) = Σ_k (1/|F_k|) Σ_{F ∈ F_k} k^{-k} hom(F,G) · hom(F,H)`.
 
-use crate::decomp::hom_count_decomp;
+use crate::decomp::{hom_count_decomp, try_hom_count_with_decomposition, SITE};
 use crate::treewidth::{exact_decomposition, TreeDecomposition};
+use crate::{trees, walks};
+use x2v_graph::dist::is_connected;
 use x2v_graph::enumerate::trees_and_cycles_basis;
+use x2v_graph::ops::induced_subgraph;
 use x2v_graph::Graph;
+use x2v_guard::Budget;
 
-/// A finite basis class `F` with precomputed tree decompositions, so
-/// embedding many graphs amortises the decomposition cost.
+/// How [`HomBasis`] counts one pattern, chosen once from its shape.
+#[derive(Debug)]
+enum Plan {
+    /// A tree (connected, `|E| = |V| − 1`, any labels): the tree DP.
+    Tree,
+    /// A cycle `C_k` whose vertices all carry one label: entry `k − 3` of
+    /// closed-walk sweep `sweep`.
+    Cycle { sweep: usize, k: usize },
+    /// Any other pattern: the nice-decomposition DP over its stored
+    /// decomposition.
+    Decomp(TreeDecomposition),
+}
+
+/// A finite basis class `F`, each pattern with a counting plan chosen
+/// once from its shape, so embedding many graphs pays only for the counts.
+///
+/// * Trees go through the tree DP, `O(|T| · (n + m))`
+///   ([`trees::hom_count_tree`]).
+/// * Cycles whose vertices all carry label `ℓ` are read off one
+///   closed-walk sweep per target and label: `hom(C_k, G) = trace(A^k)`
+///   over the induced subgraph `G[V_ℓ]` (over `G` itself when every
+///   vertex of `G` carries `ℓ`), so all cycles of one label share it
+///   ([`walks::cycle_profile`]).
+/// * Every other pattern keeps a tree decomposition, computed here, and
+///   the nice-decomposition DP, `O(n^{tw+1})` ([`crate::decomp`]).
+///
+/// All three are exact `u128`, so the plan never changes a count.
 pub struct HomBasis {
     patterns: Vec<Graph>,
-    decompositions: Vec<TreeDecomposition>,
+    plans: Vec<Plan>,
+    /// One closed-walk sweep per distinct cycle label: `(label, longest
+    /// cycle of that label)`.
+    sweeps: Vec<(u32, usize)>,
 }
 
 impl HomBasis {
     /// Builds a basis from explicit patterns.
     pub fn new(patterns: Vec<Graph>) -> Self {
-        let decompositions = patterns.iter().map(exact_decomposition).collect();
+        let mut sweeps: Vec<(u32, usize)> = Vec::new();
+        let plans = patterns
+            .iter()
+            .map(|f| {
+                let n = f.order();
+                if n == 0 || !is_connected(f) {
+                    return Plan::Decomp(exact_decomposition(f));
+                }
+                if f.size() == n - 1 {
+                    return Plan::Tree;
+                }
+                // Connected and 2-regular: the cycle C_n (n ≥ 3).
+                let label = f.label(0);
+                if (0..n).all(|v| f.degree(v) == 2 && f.label(v) == label) {
+                    let sweep = match sweeps.iter().position(|&(l, _)| l == label) {
+                        Some(s) => {
+                            sweeps[s].1 = sweeps[s].1.max(n);
+                            s
+                        }
+                        None => {
+                            sweeps.push((label, n));
+                            sweeps.len() - 1
+                        }
+                    };
+                    return Plan::Cycle { sweep, k: n };
+                }
+                Plan::Decomp(exact_decomposition(f))
+            })
+            .collect();
         HomBasis {
             patterns,
-            decompositions,
+            plans,
+            sweeps,
         }
     }
 
@@ -45,33 +106,75 @@ impl HomBasis {
         self.patterns.len()
     }
 
-    /// Maximum treewidth across the basis (drives the embedding cost).
+    /// Maximum treewidth across the basis. It bounds the cost, as
+    /// `O(n^{tw+1})`, only of the patterns on the decomposition plan:
+    /// trees and uniformly labelled cycles are counted by the tree DP and
+    /// the closed-walk sweep whatever their width.
     pub fn max_width(&self) -> usize {
-        self.decompositions
+        self.patterns
             .iter()
-            .map(|d| d.width)
+            .zip(&self.plans)
+            .map(|(f, plan)| match plan {
+                Plan::Tree => usize::from(f.order() > 1),
+                Plan::Cycle { .. } => 2,
+                Plan::Decomp(td) => td.width,
+            })
             .max()
             .unwrap_or(0)
     }
 
     /// The exact homomorphism vector `Hom_F(G)`.
     ///
-    /// Patterns fan out over the parallel runtime (one chunk per pattern —
-    /// pattern costs vary wildly with treewidth, so work-stealing across
-    /// single-pattern chunks is the right granularity). Each pattern's
-    /// count meters the ambient [`x2v_guard::Budget`] through its own
-    /// per-operation meter, exactly as in a serial loop: work limits apply
-    /// per pattern and therefore trip identically at every thread count,
-    /// and a cooperative cancel is observed by every in-flight pattern's
-    /// meter.
+    /// Every plan meters the ambient [`x2v_guard::Budget`] at
+    /// [`crate::decomp::SITE`], so a work limit, a cancel token or an
+    /// armed fault there reaches every entry; a trip or a `u128` overflow
+    /// panics with its message. The cycle sweeps run first, serially, on
+    /// one meter. The tree and decomposition patterns then fan out over
+    /// the parallel runtime, one chunk and one meter per pattern (costs
+    /// vary wildly with the plan and the treewidth, so work-stealing
+    /// across single-pattern chunks is the right granularity). Work limits
+    /// apply per meter, so they trip identically at every thread count,
+    /// and a cooperative cancel is observed by every in-flight meter.
     pub fn hom_vector(&self, g: &Graph) -> Vec<u128> {
+        let budget = x2v_guard::ambient();
+        let profiles = self.cycle_profiles(g, &budget);
         x2v_par::map_items(self.patterns.len(), 1, |i| {
-            crate::decomp::hom_count_with_decomposition(
-                &self.patterns[i],
-                g,
-                &self.decompositions[i],
-            )
+            let f = &self.patterns[i];
+            let count = match &self.plans[i] {
+                Plan::Tree => {
+                    let mut meter = budget.meter(SITE);
+                    trees::try_hom_count_tree(f, g, |units| meter.tick(units))
+                }
+                Plan::Cycle { sweep, k } => Ok(profiles[*sweep][k - 3]),
+                Plan::Decomp(td) => try_hom_count_with_decomposition(f, g, td, &budget),
+            };
+            count.unwrap_or_else(|e| panic!("{e}"))
         })
+    }
+
+    /// The closed-walk profile `hom(C_3..C_kmax, G[V_ℓ])` of every sweep
+    /// `(ℓ, kmax)`, all on one meter.
+    fn cycle_profiles(&self, g: &Graph, budget: &Budget) -> Vec<Vec<u128>> {
+        // No sweep, no meter: an unused meter would still use up the
+        // `at`-th slot of a fault armed at the site.
+        if self.sweeps.is_empty() {
+            return Vec::new();
+        }
+        let mut meter = budget.meter(SITE);
+        self.sweeps
+            .iter()
+            .map(|&(label, kmax)| {
+                let tick = |units| meter.tick(units);
+                if g.labels().iter().all(|&l| l == label) {
+                    walks::try_cycle_profile(g, kmax, tick)
+                } else {
+                    let nodes: Vec<usize> =
+                        (0..g.order()).filter(|&v| g.label(v) == label).collect();
+                    walks::try_cycle_profile(&induced_subgraph(g, &nodes), kmax, tick)
+                }
+            })
+            .collect::<x2v_guard::Result<_>>()
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The log-scaled embedding `(1/|F|) · log(1 + hom(F, G))` the paper
@@ -122,14 +225,38 @@ pub fn hom_vector_over(class: &[Graph], g: &Graph) -> Vec<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use x2v_graph::generators::{cycle, path, petersen};
+    use x2v_graph::generators::{cycle, grid, path, petersen};
     use x2v_graph::ops::{disjoint_union, permute};
 
     #[test]
     fn basis_20_shape() {
         let b = HomBasis::trees_and_cycles(20);
         assert_eq!(b.dimension(), 20);
-        assert!(b.max_width() <= 2, "trees and cycles have treewidth ≤ 2");
+        assert_eq!(b.max_width(), 2, "trees and cycles have treewidth ≤ 2");
+    }
+
+    #[test]
+    fn plans_follow_pattern_shape() {
+        let b = HomBasis::trees_and_cycles(20);
+        let trees = b.plans.iter().filter(|p| matches!(p, Plan::Tree)).count();
+        assert_eq!(trees, 10);
+        assert_eq!(b.sweeps, vec![(0, 12)], "C3..C12 share one label-0 sweep");
+
+        let b = HomBasis::new(vec![
+            path(3).with_labels(vec![1, 0, 1]).unwrap(),
+            cycle(4).with_labels(vec![1; 4]).unwrap(),
+            cycle(5),
+            cycle(4).with_labels(vec![0, 1, 0, 1]).unwrap(),
+            grid(2, 3),
+            disjoint_union(&path(2), &path(2)),
+        ]);
+        assert!(matches!(b.plans[0], Plan::Tree));
+        assert!(matches!(b.plans[1], Plan::Cycle { sweep: 0, k: 4 }));
+        assert!(matches!(b.plans[2], Plan::Cycle { sweep: 1, k: 5 }));
+        for plan in &b.plans[3..] {
+            assert!(matches!(plan, Plan::Decomp(_)), "{plan:?}");
+        }
+        assert_eq!(b.max_width(), 2);
     }
 
     #[test]

@@ -4,18 +4,29 @@
 //! `hom(C_k, G) = trace(A^k)` (closed walks) — the identities behind
 //! Theorem 4.3 (cycle counts ⟺ co-spectrality) and Theorem 4.6 (path
 //! counts ⟺ real solvability of the system (3.2)–(3.3)).
+//!
+//! These counters are label-blind: they read only the adjacency matrix
+//! `A`, so they are spectral quantities of the unlabelled graph, and
+//! [`crate::indist`] and the co-spectrality experiments rely on that.
+//! A caller that wants `hom(C_k, G)` for a cycle whose vertices all carry
+//! label `ℓ` passes the induced subgraph `G[V_ℓ]` instead, as
+//! [`crate::vectors::HomBasis`] does.
+//!
+//! Each sweep works in two buffers of length `n` that swap after every
+//! step, so a profile allocates `O(1)` vectors however long it runs.
+
+use std::convert::Infallible;
 
 use x2v_graph::Graph;
 
-/// Exact integer matrix–vector product with the adjacency matrix.
-fn adj_matvec(g: &Graph, x: &[u128]) -> Vec<u128> {
-    (0..g.order())
-        .map(|v| {
-            g.neighbours(v).iter().map(|&w| x[w]).fold(0u128, |acc, y| {
-                acc.checked_add(y).expect("walk count overflowed u128")
-            })
-        })
-        .collect()
+/// Exact integer matrix–vector product with the adjacency matrix:
+/// `out = A · x`.
+fn adj_matvec(g: &Graph, x: &[u128], out: &mut [u128]) {
+    for (v, o) in out.iter_mut().enumerate() {
+        *o = g.neighbours(v).iter().map(|&w| x[w]).fold(0u128, |acc, y| {
+            acc.checked_add(y).expect("walk count overflowed u128")
+        });
+    }
 }
 
 /// `hom(P_k, G)` where `P_k` has `k ≥ 1` vertices: the number of walks with
@@ -23,8 +34,10 @@ fn adj_matvec(g: &Graph, x: &[u128]) -> Vec<u128> {
 pub fn hom_path(k: usize, g: &Graph) -> u128 {
     assert!(k >= 1, "paths have at least one vertex");
     let mut x = vec![1u128; g.order()];
+    let mut next = vec![0u128; g.order()];
     for _ in 0..(k - 1) {
-        x = adj_matvec(g, &x);
+        adj_matvec(g, &x, &mut next);
+        std::mem::swap(&mut x, &mut next);
     }
     x.iter().sum()
 }
@@ -33,9 +46,11 @@ pub fn hom_path(k: usize, g: &Graph) -> u128 {
 pub fn path_profile(g: &Graph, kmax: usize) -> Vec<u128> {
     let mut out = Vec::with_capacity(kmax);
     let mut x = vec![1u128; g.order()];
+    let mut next = vec![0u128; g.order()];
     for _ in 0..kmax {
         out.push(x.iter().sum());
-        x = adj_matvec(g, &x);
+        adj_matvec(g, &x, &mut next);
+        std::mem::swap(&mut x, &mut next);
     }
     out
 }
@@ -51,20 +66,37 @@ pub fn hom_cycle(k: usize, g: &Graph) -> u128 {
 /// Computed column-by-column: `trace(A^k) = Σ_v (A^k)_{vv}` via `k` exact
 /// mat-vecs per source vertex. `O(kmax · n · m)`.
 pub fn cycle_profile(g: &Graph, kmax: usize) -> Vec<u128> {
+    let Ok(profile) = try_cycle_profile(g, kmax, |_| Ok::<(), Infallible>(()));
+    profile
+}
+
+/// [`cycle_profile`] with a work hook: `tick(n)` runs before each of the
+/// `n · kmax` mat-vecs, and an error from it stops the sweep. This is how
+/// [`crate::vectors::HomBasis`] meters the sweep against a budget.
+pub(crate) fn try_cycle_profile<E>(
+    g: &Graph,
+    kmax: usize,
+    mut tick: impl FnMut(u64) -> Result<(), E>,
+) -> Result<Vec<u128>, E> {
     assert!(kmax >= 3, "cycles have at least three vertices");
     let n = g.order();
     let mut traces = vec![0u128; kmax + 1]; // traces[k] = trace(A^k)
+    let mut col = vec![0u128; n];
+    let mut next = vec![0u128; n];
     for v in 0..n {
-        let mut col = vec![0u128; n];
+        col.fill(0);
         col[v] = 1;
         for k in 1..=kmax {
-            col = adj_matvec(g, &col);
+            tick(n as u64)?;
+            adj_matvec(g, &col, &mut next);
+            std::mem::swap(&mut col, &mut next);
             traces[k] = traces[k]
                 .checked_add(col[v])
                 .expect("trace overflowed u128");
         }
     }
-    traces[3..=kmax].to_vec()
+    traces.drain(..3);
+    Ok(traces)
 }
 
 /// Walk counts between fixed endpoints: `(A^k)_{uv}` for `k = 0..=kmax` —
@@ -72,11 +104,13 @@ pub fn cycle_profile(g: &Graph, kmax: usize) -> Vec<u128> {
 pub fn walk_counts(g: &Graph, u: usize, v: usize, kmax: usize) -> Vec<u128> {
     let n = g.order();
     let mut col = vec![0u128; n];
+    let mut next = vec![0u128; n];
     col[u] = 1;
     let mut out = Vec::with_capacity(kmax + 1);
     out.push(col[v]);
     for _ in 1..=kmax {
-        col = adj_matvec(g, &col);
+        adj_matvec(g, &col, &mut next);
+        std::mem::swap(&mut col, &mut next);
         out.push(col[v]);
     }
     out

@@ -1,10 +1,14 @@
 //! Property-based tests: homomorphism-counting algorithms agree with the
 //! brute-force oracle and satisfy the algebraic identities the paper uses.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
-use x2v_graph::generators::random_tree;
+use rand::{Rng, SeedableRng};
+use x2v_graph::generators::{cycle, gnp, grid, random_tree, star};
 use x2v_graph::ops::{disjoint_union, permute};
 use x2v_graph::Graph;
+use x2v_hom::vectors::{hom_vector_over, HomBasis};
 use x2v_hom::{brute, decomp, trees, walks};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -24,7 +28,6 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
 
 fn arb_tree() -> impl Strategy<Value = Graph> {
     (2usize..=6, any::<u64>()).prop_map(|(n, seed)| {
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         random_tree(n, &mut rng)
     })
@@ -109,6 +112,68 @@ proptest! {
         prop_assert!(td.is_valid_for(&g));
         // Width bounds: tw ≤ n − 1; trees/forests have tw ≤ 1.
         prop_assert!(td.width < g.order());
+    }
+}
+
+/// A `G(n, p)` target of order `0..=max_n` with a random density, so
+/// empty, sparse, dense and disconnected targets all occur; with
+/// `labelled`, every vertex draws a label from {0, 1}.
+fn random_target(max_n: usize, seed: u64, labelled: bool) -> Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = rng.random_range(0..=max_n);
+    let p = rng.random::<f64>();
+    let g = gnp(n, p, &mut rng);
+    if !labelled {
+        return g;
+    }
+    let labels = (0..n).map(|_| u32::from(rng.random::<bool>())).collect();
+    g.with_labels(labels).expect("one label per vertex")
+}
+
+/// The paper's 20-pattern trees-and-cycles basis, built once.
+fn basis_20() -> &'static HomBasis {
+    static BASIS: OnceLock<HomBasis> = OnceLock::new();
+    BASIS.get_or_init(|| HomBasis::trees_and_cycles(20))
+}
+
+/// One pattern per counting plan: a labelled tree, a cycle labelled 1
+/// throughout (the closed-walk sweep over `G[V_1]`), and two patterns on
+/// the decomposition DP: a cycle with mixed labels and the 2×3 grid.
+fn basis_every_plan() -> &'static HomBasis {
+    static BASIS: OnceLock<HomBasis> = OnceLock::new();
+    BASIS.get_or_init(|| {
+        HomBasis::new(vec![
+            star(3).with_labels(vec![1, 0, 1, 0]).unwrap(),
+            cycle(4).with_labels(vec![1; 4]).unwrap(),
+            cycle(5).with_labels(vec![0, 1, 0, 1, 1]).unwrap(),
+            grid(2, 3),
+        ])
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `HomBasis` picks the tree DP, the closed-walk sweep or the
+    /// decomposition DP per pattern; the vector must equal the one the
+    /// decomposition DP gives for every pattern.
+    #[test]
+    fn basis_plans_match_decomposition_dp(seed in any::<u64>(), third in 0u8..3) {
+        let g = random_target(12, seed, third == 0);
+        let basis = basis_20();
+        prop_assert_eq!(basis.hom_vector(&g), hom_vector_over(basis.patterns(), &g));
+    }
+
+    #[test]
+    fn basis_plans_match_brute(seed in any::<u64>()) {
+        let g = random_target(7, seed, true);
+        let basis = basis_every_plan();
+        let brute: Vec<u128> = basis
+            .patterns()
+            .iter()
+            .map(|f| brute::hom_count(f, &g))
+            .collect();
+        prop_assert_eq!(basis.hom_vector(&g), brute);
     }
 }
 
