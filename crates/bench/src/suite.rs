@@ -1,15 +1,18 @@
 //! The deterministic perf-regression suite behind the `bench_suite` and
 //! `bench_diff` binaries.
 //!
-//! Every workload is fixed-seed and spans one hot subsystem of the
-//! workspace (1-WL refinement, k-WL, brute-force and tree-decomposition
-//! hom counting, WL-kernel Gram + SVM folds, word2vec and node2vec,
-//! GNN forward). Each is run `warmup` untimed times, then `reps` timed
-//! times; the report records the **median** and **MAD** (median absolute
-//! deviation) of the per-rep wall times — robust location/scale estimates
-//! that one scheduler hiccup cannot move — plus min/max/mean and a
-//! deterministic `work` checksum that guards against accidentally
-//! benchmarking a changed computation.
+//! Every workload is fixed-seed, pinned to one worker thread, and spans
+//! one hot subsystem of the workspace (1-WL refinement, k-WL, brute-force
+//! and tree-decomposition hom counting, WL-kernel Gram + SVM folds,
+//! word2vec and node2vec, GNN forward), plus the E21 complexity
+//! workloads behind the paper's §4.3 claims (1-WL scaling in n, k-WL in
+//! k, hom(P8, G) by three algorithms, decomposition DP by treewidth, one
+//! 20-graph Gram per kernel). Each is run `warmup` untimed times, then
+//! `reps` timed times; the report records the **median** and **MAD**
+//! (median absolute deviation) of the per-rep wall times — robust
+//! location/scale estimates that one scheduler hiccup cannot move — plus
+//! min/max/mean and a deterministic `work` checksum that guards against
+//! accidentally benchmarking a changed computation.
 //!
 //! Reports are schema-versioned JSON (`BENCH_<n>.json` at the repo root by
 //! convention; see `docs/bench-schema.md`). [`diff_reports`] compares two
@@ -26,15 +29,23 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 use x2v_ckpt::codec::{Dec, Enc};
 use x2v_ckpt::crc32::Crc32;
+use x2v_core::{GraphKernel, NodeEmbedding};
 use x2v_datasets::synthetic::cycles_vs_trees;
+use x2v_embed::node2vec::{Node2Vec, Node2VecConfig};
 use x2v_embed::walks::{generate_walks, WalkConfig};
 use x2v_embed::word2vec::{SgnsConfig, Word2Vec};
 use x2v_gnn::layer::Activation;
 use x2v_gnn::model::{GnnModel, InitialFeatures};
-use x2v_graph::generators::{cycle, gnp, path};
-use x2v_kernel::gram::{gram_resumable, PairwiseEval};
+use x2v_graph::generators::{cycle, gnp, grid, path, random_regular};
+use x2v_graph::Graph;
+use x2v_hom::vectors::HomBasis;
+use x2v_kernel::gram::gram_resumable;
+use x2v_kernel::graphlet::GraphletKernel;
+use x2v_kernel::random_walk::RandomWalkKernel;
+use x2v_kernel::shortest_path::ShortestPathKernel;
 use x2v_kernel::wl::WlSubtreeKernel;
 use x2v_prof::json::JsonValue;
+use x2v_similarity::relaxed::relaxed_distance;
 use x2v_wl::kwl::KwlRefiner;
 use x2v_wl::refine::Refiner;
 
@@ -107,21 +118,10 @@ pub struct BenchResult {
     /// Deterministic output checksum (identical across runs on the same
     /// code; a change means the *computation* changed, not just its speed).
     pub work: u64,
-    /// Worker threads the workload ran with (1 = pinned serial; otherwise
-    /// the ambient `x2v_par::threads()` resolution at run time).
-    pub threads: usize,
 }
 
 struct Workload {
     name: &'static str,
-    /// Thread pin for the measurement: `1` runs under
-    /// `x2v_par::with_threads(1)` (the serial baselines and every
-    /// pre-existing workload, so `BENCH_0` numbers stay comparable);
-    /// `0` leaves the ambient `X2V_THREADS` resolution in force.
-    threads: usize,
-    /// Serial twin whose `work` checksum this workload must reproduce —
-    /// the determinism cross-check for the `*_par` workloads.
-    baseline: Option<&'static str>,
     run: Box<dyn FnMut() -> u64>,
 }
 
@@ -134,67 +134,84 @@ fn fold_f64s<'a>(vals: impl IntoIterator<Item = &'a f64>) -> u64 {
         .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits())
 }
 
+fn fold_u64s(vals: impl IntoIterator<Item = u64>) -> u64 {
+    vals.into_iter()
+        .fold(0u64, |acc, h| acc.rotate_left(13) ^ h)
+}
+
+fn refine_work(g: &Graph) -> u64 {
+    let h = Refiner::new().refine_to_stable(g);
+    (h.num_rounds() as u64) << 32 | h.num_classes(h.num_rounds()) as u64
+}
+
+fn gram_work<K: GraphKernel + Sync + ?Sized>(kernel: &K, graphs: &[Graph], job: &str) -> u64 {
+    let m = gram_resumable(kernel, graphs, job).unwrap_or_else(|e| panic!("{e}"));
+    fold_f64s(m.as_slice())
+}
+
+/// Inner repeat count of the sub-10 µs workloads (see [`repeated`]).
+const REPEAT: usize = 100;
+
+/// Calls `f` [`REPEAT`] times and returns the first call's result: the
+/// wrapper for workloads whose single call is too short (under ~10 µs)
+/// to time on its own. `work` stays one call's output; the recorded
+/// median is the time of all [`REPEAT`] calls.
+fn repeated(mut f: impl FnMut() -> u64) -> u64 {
+    let work = f();
+    for _ in 1..REPEAT {
+        std::hint::black_box(f());
+    }
+    work
+}
+
 /// Builds the workload list. Inputs are constructed here (untimed) and
 /// moved into the closures; only the algorithm under test is measured.
 fn workloads(smoke: bool) -> Vec<Workload> {
     let mut out: Vec<Workload> = Vec::new();
+    let mut push = |name: &'static str, run: Box<dyn FnMut() -> u64>| {
+        out.push(Workload { name, run });
+    };
     let pick = |full: usize, small: usize| if smoke { small } else { full };
 
     // 1-WL colour refinement to the stable colouring.
     let g_wl = gnp(pick(300, 60), 0.05, &mut StdRng::seed_from_u64(11));
-    out.push(Workload {
-        name: "wl/refine_1wl",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
-            let h = Refiner::new().refine_to_stable(&g_wl);
-            (h.num_rounds() as u64) << 32 | h.num_classes(h.num_rounds()) as u64
-        }),
-    });
+    push("wl/refine_1wl", Box::new(move || refine_work(&g_wl)));
 
     // k-WL (k = 2): the n^k tuple-colouring refinement.
     let g_kwl = gnp(pick(26, 12), 0.3, &mut StdRng::seed_from_u64(12));
-    out.push(Workload {
-        name: "wl/kwl_2",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || KwlRefiner::new(2).run(&g_kwl).histogram().len() as u64),
-    });
+    push(
+        "wl/kwl_2",
+        Box::new(move || KwlRefiner::new(2).run(&g_kwl).histogram().len() as u64),
+    );
 
     // Brute-force homomorphism counting (backtracking over n^{|F|}).
     let f_brute = path(5);
     let g_brute = gnp(pick(16, 9), 0.35, &mut StdRng::seed_from_u64(13));
-    out.push(Workload {
-        name: "hom/brute",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || fold_u128(x2v_hom::brute::hom_count(&f_brute, &g_brute))),
-    });
+    push(
+        "hom/brute",
+        Box::new(move || fold_u128(x2v_hom::brute::hom_count(&f_brute, &g_brute))),
+    );
 
     // Tree-decomposition DP homomorphism counting (n^{tw+1}).
     let f_decomp = cycle(pick(8, 6));
     let g_decomp = gnp(pick(28, 10), 0.15, &mut StdRng::seed_from_u64(14));
-    out.push(Workload {
-        name: "hom/decomp",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || fold_u128(x2v_hom::decomp::hom_count_decomp(&f_decomp, &g_decomp))),
-    });
+    push(
+        "hom/decomp",
+        Box::new(move || fold_u128(x2v_hom::decomp::hom_count_decomp(&f_decomp, &g_decomp))),
+    );
 
     // WL-subtree kernel Gram matrix + cross-validated SVM folds, via the
     // crash-safe row-block builder (identical numbers without a store).
     let ds = cycles_vs_trees(pick(24, 8), 8, 15);
-    out.push(Workload {
-        name: "kernel/gram_svm",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
+    push(
+        "kernel/gram_svm",
+        Box::new(move || {
             let kernel = WlSubtreeKernel::new(3);
             let acc = kernel_cv_accuracy_resumable(&kernel, &ds, 3, 16, "bench-gram")
                 .unwrap_or_else(|e| panic!("{e}"));
             (acc * 1e6).round() as u64
         }),
-    });
+    );
 
     // word2vec (SGNS) training epochs over a random-walk corpus.
     let g_w2v = gnp(pick(60, 20), 0.1, &mut StdRng::seed_from_u64(17));
@@ -217,15 +234,13 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         learning_rate: 0.025,
         seed: 19,
     };
-    out.push(Workload {
-        name: "embed/word2vec",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
+    push(
+        "embed/word2vec",
+        Box::new(move || {
             let model = Word2Vec::train(&corpus, vocab, &sgns);
             fold_f64s(model.vector(0))
         }),
-    });
+    );
 
     // node2vec biased second-order walk generation.
     let g_n2v = gnp(pick(80, 24), 0.08, &mut StdRng::seed_from_u64(20));
@@ -236,103 +251,32 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         q: 2.0,
         seed: 21,
     };
-    out.push(Workload {
-        name: "embed/node2vec_walks",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
+    push(
+        "embed/node2vec_walks",
+        Box::new(move || {
             generate_walks(&g_n2v, &walk_cfg)
                 .iter()
                 .map(|w| w.len() as u64)
                 .sum()
         }),
-    });
+    );
 
     // GNN forward pass (message passing + readout) over a graph batch.
     let model = GnnModel::new(4, 16, 3, Activation::Relu, InitialFeatures::Constant, 22);
     let mut rng = StdRng::seed_from_u64(23);
     let batch: Vec<_> = (0..8).map(|_| gnp(pick(40, 12), 0.1, &mut rng)).collect();
-    out.push(Workload {
-        name: "gnn/forward",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
-            batch
-                .iter()
-                .map(|g| fold_f64s(&model.graph_embedding(g)))
-                .fold(0u64, |acc, h| acc.rotate_left(13) ^ h)
-        }),
-    });
+    push(
+        "gnn/forward",
+        Box::new(move || fold_u64s(batch.iter().map(|g| fold_f64s(&model.graph_embedding(g))))),
+    );
 
-    // Serial/parallel workload pairs over the same inputs: the `*_par` twin
-    // runs with the ambient thread count and must reproduce the serial
-    // `work` checksum bit for bit — the suite-level enforcement of the
-    // x2v-par determinism contract (and the medians quantify the speedup).
-    let g_refine = gnp(pick(2400, 100), 0.005, &mut StdRng::seed_from_u64(29));
-    for (name, threads, baseline) in [
-        ("wl/refine_serial", 1, None),
-        ("wl/refine_par", 0, Some("wl/refine_serial")),
-    ] {
-        let g = g_refine.clone();
-        out.push(Workload {
-            name,
-            threads,
-            baseline,
-            run: Box::new(move || {
-                let h = Refiner::new().refine_to_stable(&g);
-                (h.num_rounds() as u64) << 32 | h.num_classes(h.num_rounds()) as u64
-            }),
-        });
-    }
-    let ds_gram = cycles_vs_trees(pick(28, 6), 10, 17);
-    for (name, threads, baseline) in [
-        ("kernel/gram_serial", 1, None),
-        ("kernel/gram_par", 0, Some("kernel/gram_serial")),
-    ] {
-        let graphs = ds_gram.graphs.clone();
-        out.push(Workload {
-            name,
-            threads,
-            baseline,
-            run: Box::new(move || {
-                let kernel = WlSubtreeKernel::new(3);
-                let m = gram_resumable(&kernel, &graphs, "bench-gram-pair")
-                    .unwrap_or_else(|e| panic!("{e}"));
-                fold_f64s(m.as_slice())
-            }),
-        });
-    }
-
-    // Feature-map Gram vs N×N pairwise kernel evaluations over one larger
-    // dataset, both through `gram_resumable`. `gram_feat`'s `baseline`
-    // cross-assert is the suite's golden-CRC gate on the exact-equivalence
-    // contract: the WL kernel's feature-map entries must reproduce the
-    // pairwise work checksum bit for bit, while the medians quantify
-    // collapsing per-entry re-refinement into one feature-extraction pass
-    // plus sparse merge-join dot products.
+    // Feature-map WL-subtree Gram over one larger dataset through
+    // `gram_resumable` (one WL pass per graph, sparse merge-join dots).
     let ds_feat = cycles_vs_trees(pick(40, 6), 9, 37).graphs;
-    for (name, threads, baseline) in [
-        ("kernel/gram_pairwise", 1, None),
-        ("kernel/gram_feat", 1, Some("kernel/gram_pairwise")),
-    ] {
-        let graphs = ds_feat.clone();
-        let feat_path = baseline.is_some();
-        out.push(Workload {
-            name,
-            threads,
-            baseline,
-            run: Box::new(move || {
-                let kernel = WlSubtreeKernel::new(3);
-                let m = if feat_path {
-                    gram_resumable(&kernel, &graphs, "bench-gram-feat")
-                } else {
-                    gram_resumable(&PairwiseEval(&kernel), &graphs, "bench-gram-pairwise")
-                }
-                .unwrap_or_else(|e| panic!("{e}"));
-                fold_f64s(m.as_slice())
-            }),
-        });
-    }
+    push(
+        "kernel/gram_feat",
+        Box::new(move || gram_work(&WlSubtreeKernel::new(3), &ds_feat, "bench-gram-feat")),
+    );
 
     // Inline fleet execution of a Gram build: the coordinator/worker
     // protocol overhead (manifest publish, shard publish + validate +
@@ -340,11 +284,9 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     // the degenerate one-process configuration every multi-worker run
     // must reproduce bit for bit.
     let fleet_graphs = cycles_vs_trees(pick(16, 6), 8, 31).graphs;
-    out.push(Workload {
-        name: "fleet/gram_inline",
-        threads: 1,
-        baseline: None,
-        run: Box::new(move || {
+    push(
+        "fleet/gram_inline",
+        Box::new(move || {
             let dir = std::env::temp_dir().join(format!("x2v-bench-fleet-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let store = x2v_ckpt::Store::open(&dir).unwrap_or_else(|e| panic!("{e}"));
@@ -358,7 +300,118 @@ fn workloads(smoke: bool) -> Vec<Workload> {
             let _ = std::fs::remove_dir_all(&dir);
             fold_f64s(m.as_slice())
         }),
-    });
+    );
+
+    // E21 (§4.3 complexity). 1-WL refinement to stability on sparse
+    // G(n, 8/n): near-linear growth in n.
+    for (name, n) in [
+        ("wl/refine_n50", 50),
+        ("wl/refine_n100", 100),
+        ("wl/refine_n200", 200),
+        ("wl/refine_n400", 400),
+    ] {
+        let n = pick(n, n / 5);
+        let g = gnp(n, 8.0 / n as f64, &mut StdRng::seed_from_u64(1));
+        push(name, Box::new(move || refine_work(&g)));
+    }
+
+    // k-WL cost growth in k on one 3-regular graph.
+    let g_reg = random_regular(pick(10, 6), 3, &mut StdRng::seed_from_u64(2));
+    for (name, k) in [("wl/kwl_k2_reg10", 2), ("wl/kwl_k3_reg10", 3)] {
+        let g = g_reg.clone();
+        push(
+            name,
+            Box::new(move || KwlRefiner::new(k).run(&g).histogram().len() as u64),
+        );
+    }
+
+    // hom(P8, G) three ways: tree DP, closed-form walk count, brute force.
+    // One count, so the three `work` checksums must agree.
+    let g_p8 = gnp(pick(30, 8), 0.2, &mut StdRng::seed_from_u64(4));
+    let p8 = path(8);
+    {
+        let (g, p) = (g_p8.clone(), p8.clone());
+        push(
+            "hom/p8_tree_dp",
+            Box::new(move || repeated(|| fold_u128(x2v_hom::trees::hom_count_tree(&p, &g)))),
+        );
+    }
+    {
+        let g = g_p8.clone();
+        push(
+            "hom/p8_walk",
+            Box::new(move || repeated(|| fold_u128(x2v_hom::walks::hom_path(8, &g)))),
+        );
+    }
+    push(
+        "hom/p8_brute",
+        Box::new(move || fold_u128(x2v_hom::brute::hom_count(&p8, &g_p8))),
+    );
+
+    // Decomposition-DP hom counting by pattern treewidth (n^{tw+1}).
+    let g_tw = gnp(pick(18, 8), 0.3, &mut StdRng::seed_from_u64(5));
+    for (name, pattern) in [
+        ("hom/decomp_tw1_path6", path(6)),
+        ("hom/decomp_tw2_cycle6", cycle(6)),
+        ("hom/decomp_tw2_grid2x3", grid(2, 3)),
+        ("hom/decomp_tw3_grid3x3", grid(3, 3)),
+    ] {
+        let g = g_tw.clone();
+        push(
+            name,
+            Box::new(move || fold_u128(x2v_hom::decomp::hom_count_decomp(&pattern, &g))),
+        );
+    }
+
+    // The 20-pattern trees-and-cycles hom embedding of ten graphs.
+    let mut rng = StdRng::seed_from_u64(6);
+    let basis_graphs: Vec<_> = (0..10).map(|_| gnp(pick(20, 8), 0.25, &mut rng)).collect();
+    let basis = HomBasis::trees_and_cycles(20);
+    push(
+        "hom/basis20_embed",
+        Box::new(move || fold_u64s(basis_graphs.iter().map(|g| fold_f64s(&basis.embed_log(g))))),
+    );
+
+    // The paper's WL-efficiency claim: one 20-graph Gram per kernel.
+    let mut rng = StdRng::seed_from_u64(7);
+    let gram_graphs: Vec<_> = (0..pick(20, 4))
+        .map(|_| gnp(pick(20, 8), 0.2, &mut rng))
+        .collect();
+    let gram_kernels: [(&'static str, Box<dyn GraphKernel + Sync>); 4] = [
+        ("kernel/gram20_wl5", Box::new(WlSubtreeKernel::new(5))),
+        ("kernel/gram20_sp", Box::new(ShortestPathKernel::new())),
+        (
+            "kernel/gram20_graphlet34",
+            Box::new(GraphletKernel::three_four()),
+        ),
+        ("kernel/gram20_rw", Box::new(RandomWalkKernel::new(0.05, 5))),
+    ];
+    for (name, kernel) in gram_kernels {
+        let graphs = gram_graphs.clone();
+        push(name, Box::new(move || gram_work(&*kernel, &graphs, name)));
+    }
+
+    // Learned embeddings: node2vec walks + SGNS on one graph.
+    let g_n2v50 = gnp(pick(50, 12), 0.1, &mut StdRng::seed_from_u64(8));
+    let mut n2v_cfg = Node2VecConfig::default();
+    n2v_cfg.sgns.dim = 16;
+    n2v_cfg.sgns.epochs = 2;
+    n2v_cfg.walks.walks_per_node = pick(5, 2);
+    n2v_cfg.walks.walk_length = pick(20, 8);
+    push(
+        "embed/node2vec_50",
+        Box::new(move || {
+            let vectors = Node2Vec::new(n2v_cfg.clone()).embed_nodes(&g_n2v50);
+            fold_u64s(vectors.iter().map(fold_f64s))
+        }),
+    );
+
+    // Frank-Wolfe relaxed graph distance between C_n and P_n.
+    let (fw_g, fw_h) = (cycle(pick(12, 5)), path(pick(12, 5)));
+    push(
+        "similarity/frank_wolfe_12",
+        Box::new(move || relaxed_distance(&fw_g, &fw_h).to_bits()),
+    );
 
     out
 }
@@ -402,8 +455,7 @@ fn encode_progress(fingerprint: u32, results: &[BenchResult]) -> Vec<u8> {
             .f64(r.mean_ns)
             .u64(r.min_ns)
             .u64(r.max_ns)
-            .u64(r.work)
-            .u64(r.threads as u64);
+            .u64(r.work);
     }
     e.finish()
 }
@@ -436,7 +488,6 @@ fn decode_progress(
             min_ns: d.u64("min_ns").ok()?,
             max_ns: d.u64("max_ns").ok()?,
             work: d.u64("work").ok()?,
-            threads: usize::try_from(d.u64("threads").ok()?).ok()?,
         });
     }
     d.finish("trailing").ok()?;
@@ -488,22 +539,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     x2v_ckpt::set_resume(false);
     let start = results.len();
     for w in ws.iter_mut().skip(start) {
-        // Thread pin: serial workloads run the whole measurement under
-        // `with_threads(1)`; `threads == 0` leaves the ambient
-        // `X2V_THREADS` resolution in force and records what it was.
-        let effective_threads = if w.threads == 0 {
-            x2v_par::threads()
-        } else {
-            w.threads
-        };
-        let run = &mut w.run;
-        let mut run_pinned = || {
-            if w.threads == 0 {
-                run()
-            } else {
-                x2v_par::with_threads(w.threads, &mut *run)
-            }
-        };
+        // Every workload runs pinned to one worker thread, so timings stay
+        // comparable across machines with different core counts.
+        let mut run_pinned = || x2v_par::with_threads(1, &mut w.run);
         for _ in 0..cfg.warmup {
             std::hint::black_box(run_pinned());
         }
@@ -530,20 +568,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
         let median_ns = median_u64(&times_ns);
         let mut dev: Vec<u64> = times_ns.iter().map(|&t| t.abs_diff(median_ns)).collect();
         dev.sort_unstable();
-        // Parallel twin: its checksum must match the serial baseline run
-        // earlier in the list, at whatever thread count we ran with.
-        if let Some(baseline) = w.baseline {
-            let base = results
-                .iter()
-                .find(|r| r.name == baseline)
-                .unwrap_or_else(|| panic!("workload {} lists unknown baseline {baseline}", w.name));
-            assert_eq!(
-                base.work, work,
-                "workload {} ({effective_threads} threads) diverges from its serial \
-                 baseline {baseline} — the parallel run changed the computation",
-                w.name
-            );
-        }
         results.push(BenchResult {
             name: w.name,
             reps,
@@ -553,7 +577,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
             min_ns: times_ns[0],
             max_ns: times_ns[reps - 1],
             work,
-            threads: effective_threads,
         });
         if let Some(store) = store.as_deref() {
             if let Err(e) = store.save(
@@ -602,7 +625,7 @@ pub fn report_json(results: &[BenchResult], cfg: &SuiteConfig) -> String {
         };
         let _ = write!(
             out,
-            "\n    \"{}\": {{\"reps\": {}, \"median_ns\": {}, \"mad_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"work\": {}, \"threads\": {}}}",
+            "\n    \"{}\": {{\"reps\": {}, \"median_ns\": {}, \"mad_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"work\": {}, \"threads\": 1}}",
             x2v_obs::json_escape(r.name),
             r.reps,
             r.median_ns,
@@ -611,7 +634,6 @@ pub fn report_json(results: &[BenchResult], cfg: &SuiteConfig) -> String {
             r.min_ns,
             r.max_ns,
             r.work,
-            r.threads,
         );
     }
     out.push_str(if first { "}\n" } else { "\n  }\n" });
@@ -624,13 +646,13 @@ pub fn render_table(results: &[BenchResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<24} {:>6} {:>12} {:>10} {:>12} {:>12}",
+        "{:<26} {:>6} {:>12} {:>10} {:>12} {:>12}",
         "bench", "reps", "median", "mad", "min", "max"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:<24} {:>6} {:>12} {:>10} {:>12} {:>12}",
+            "{:<26} {:>6} {:>12} {:>10} {:>12} {:>12}",
             r.name,
             r.reps,
             fmt_ns(r.median_ns as f64),
@@ -997,7 +1019,6 @@ mod tests {
                 min_ns: 1480,
                 max_ns: 1550,
                 work: 42,
-                threads: 1,
             },
             BenchResult {
                 name: "a/first",
@@ -1008,7 +1029,6 @@ mod tests {
                 min_ns: 890,
                 max_ns: 915,
                 work: 7,
-                threads: 1,
             },
         ];
         let json = report_json(&results, &SuiteConfig::smoke());
@@ -1044,7 +1064,6 @@ mod tests {
                 min_ns: 95,
                 max_ns: 110,
                 work: 7,
-                threads: 1,
             },
             BenchResult {
                 name: "b/y",
@@ -1055,7 +1074,6 @@ mod tests {
                 min_ns: 480,
                 max_ns: 520,
                 work: 13,
-                threads: 1,
             },
         ];
         let fp = suite_fingerprint(&SuiteConfig::smoke(), 3, &names);

@@ -1,7 +1,8 @@
 //! End-to-end checks on the perf-regression suite: the smoke suite
 //! produces the same bench keys on every run (deterministic report
-//! shape), the report roundtrips through the JSON loader, and the diff
-//! gate fires exactly when a median is synthetically inflated.
+//! shape) with unique keys, the three hom(P8, G) workloads agree on
+//! their count, the report roundtrips through the JSON loader, and the
+//! diff gate fires exactly when a median is synthetically inflated.
 
 use x2v_bench::suite::{
     diff_reports, parse_report, report_json, run_suite, SuiteConfig, BENCH_SCHEMA,
@@ -22,6 +23,8 @@ fn smoke_suite_has_stable_shape_and_gates_on_inflation() {
     );
     let keys = |rs: &[x2v_bench::suite::BenchResult]| rs.iter().map(|r| r.name).collect::<Vec<_>>();
     assert_eq!(keys(&first), keys(&second), "bench keys must be stable");
+    let unique: std::collections::BTreeSet<&str> = keys(&first).into_iter().collect();
+    assert_eq!(unique.len(), first.len(), "bench keys must be unique");
     let subsystems: std::collections::BTreeSet<&str> = first
         .iter()
         .map(|r| r.name.split('/').next().unwrap())
@@ -35,6 +38,13 @@ fn smoke_suite_has_stable_shape_and_gates_on_inflation() {
     // reps within one run.
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.work, b.work, "{} output changed between runs", a.name);
+    }
+
+    // Oracle check: three algorithms, one hom(P8, G).
+    let work_of = |name: &str| first.iter().find(|r| r.name == name).unwrap().work;
+    let brute = work_of("hom/p8_brute");
+    for fast in ["hom/p8_tree_dp", "hom/p8_walk"] {
+        assert_eq!(work_of(fast), brute, "{fast} disagrees with hom/p8_brute");
     }
 
     // Roundtrip: serialise, parse back, keys and medians survive.

@@ -133,8 +133,8 @@ fn config_fingerprint(
 
 /// Sequential in-order dot product for the SGNS inner loop. The summation
 /// order here is part of the fixed-seed model-bit contract (resume goldens,
-/// downstream embedding-quality seeds), so this must not be swapped for the
-/// lane-chunked `x2v_linalg::chunked::dot_f64` reduction.
+/// downstream embedding-quality seeds), so this must not be swapped for a
+/// lane-chunked reduction, which would reorder the additions.
 #[inline]
 fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()

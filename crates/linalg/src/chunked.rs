@@ -1,161 +1,50 @@
-//! Chunked, autovectorizable `dot`/`axpy` kernels with a deterministic
-//! reduction order.
+//! A chunked, autovectorizable `axpy` kernel.
 //!
-//! A naive `Σ aᵢ·bᵢ` loop is a single serial dependency chain: IEEE-754
-//! addition is not associative, so the compiler may not reorder it, which
-//! caps the loop at one fused multiply-add per float-add latency and
-//! blocks SIMD. These kernels instead accumulate into [`LANES`] fixed
-//! partial sums — independent chains the backend can keep in one vector
-//! register — and reduce them in one *fixed* pairwise order at the end.
-//! The result is a pure function of the input slices: no runtime feature
-//! detection, no length-dependent strategy switch, and therefore the same
-//! bits on every machine and at every `X2V_THREADS` — the house
-//! determinism invariant.
+//! `y += alpha * x` is element-wise, so splitting the loop into chunks of
+//! [`LANES`] changes no result versus the naive loop: it only breaks the
+//! loop-carried bounds checks so the backend vectorises the body. The
+//! output is a pure function of the inputs — the same bits on every
+//! machine and at every `X2V_THREADS`, the house determinism invariant.
 //!
-//! Used by SGNS training (`x2v-embed`), whose gradient updates are the
-//! chunked `axpy` (element-wise, so bit-identical to the scalar loop).
-//! [`crate::vector::dot`] and `Matrix::matvec` deliberately do **not**
-//! delegate here: the repo's hot dot products are short (SVM feature
-//! rows ~24 wide, GNN layers 16 wide), and at those lengths the lane
-//! accumulators plus tree reduction cost more than the serial chain they
-//! replace — switching them regressed `gnn/forward` and
-//! `kernel/gram_svm` 35–57% in the bench suite. Reach for these kernels
-//! for long rows or element-wise updates; keep the plain loop for
-//! short-vector reductions.
+//! Used by SGNS training (`x2v-embed`) for its gradient updates.
+//! Reductions (`dot`, `sum`) deliberately stay plain sequential loops in
+//! their callers: a lane-chunked reduction reorders the additions and so
+//! changes result bits, and at the repo's short vector lengths (SVM
+//! feature rows ~24 wide, GNN layers 16 wide) it measured slower than the
+//! serial chain — a trial regressed `gnn/forward` and `kernel/gram_svm`
+//! 35–57% in the bench suite.
 
-/// Accumulator lanes per chunk. Eight f64 lanes fill one AVX-512 register
-/// or two AVX2 registers; part of the bit-level contract — changing it
-/// changes reduction order and therefore results.
+/// Elements per chunk. Eight f64 lanes fill one AVX-512 register or two
+/// AVX2 registers.
 pub const LANES: usize = 8;
 
-macro_rules! chunked_impl {
-    ($dot:ident, $axpy:ident, $sum:ident, $t:ty, $doc:literal) => {
-        #[doc = concat!("Chunked ", $doc, " dot product with deterministic lane reduction.")]
-        ///
-        /// Slices shorter than [`LANES`] reduce to the naive sequential
-        /// sum (bit-identical to the textbook loop); longer slices use
-        /// `LANES` accumulators and a fixed pairwise tree reduction.
-        ///
-        /// # Panics
-        /// On length mismatch.
-        #[inline]
-        pub fn $dot(a: &[$t], b: &[$t]) -> $t {
-            assert_eq!(a.len(), b.len(), "length mismatch");
-            let chunks = a.len() / LANES;
-            let mut acc = [0.0 as $t; LANES];
-            for c in 0..chunks {
-                let xa = &a[c * LANES..(c + 1) * LANES];
-                let xb = &b[c * LANES..(c + 1) * LANES];
-                for l in 0..LANES {
-                    acc[l] += xa[l] * xb[l];
-                }
-            }
-            let mut tail = 0.0 as $t;
-            for i in chunks * LANES..a.len() {
-                tail += a[i] * b[i];
-            }
-            if chunks == 0 {
-                return tail;
-            }
-            // Fixed pairwise tree: ((0+1)+(2+3)) + ((4+5)+(6+7)), then tail.
-            let s = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-            s + tail
+/// Chunked `f64` `y += alpha * x`.
+///
+/// Element-wise, so chunking changes no results versus the naive loop —
+/// it only breaks the loop-carried bounds checks so the backend
+/// vectorises the body.
+///
+/// # Panics
+/// On length mismatch.
+#[inline]
+pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len(), "length mismatch");
+    let chunks = x.len() / LANES;
+    for c in 0..chunks {
+        let xs = &x[c * LANES..(c + 1) * LANES];
+        let ys = &mut y[c * LANES..(c + 1) * LANES];
+        for l in 0..LANES {
+            ys[l] += alpha * xs[l];
         }
-
-        #[doc = concat!("Chunked ", $doc, " `y += alpha * x`.")]
-        ///
-        /// Element-wise, so chunking changes no results versus the naive
-        /// loop — it only breaks the loop-carried bounds checks so the
-        /// backend vectorises the body.
-        ///
-        /// # Panics
-        /// On length mismatch.
-        #[inline]
-        pub fn $axpy(alpha: $t, x: &[$t], y: &mut [$t]) {
-            assert_eq!(x.len(), y.len(), "length mismatch");
-            let chunks = x.len() / LANES;
-            for c in 0..chunks {
-                let xs = &x[c * LANES..(c + 1) * LANES];
-                let ys = &mut y[c * LANES..(c + 1) * LANES];
-                for l in 0..LANES {
-                    ys[l] += alpha * xs[l];
-                }
-            }
-            for i in chunks * LANES..x.len() {
-                y[i] += alpha * x[i];
-            }
-        }
-
-        #[doc = concat!("Chunked ", $doc, " sum with the same deterministic lane reduction as the dot kernel.")]
-        #[inline]
-        pub fn $sum(a: &[$t]) -> $t {
-            let chunks = a.len() / LANES;
-            let mut acc = [0.0 as $t; LANES];
-            for c in 0..chunks {
-                let xa = &a[c * LANES..(c + 1) * LANES];
-                for l in 0..LANES {
-                    acc[l] += xa[l];
-                }
-            }
-            let mut tail = 0.0 as $t;
-            for i in chunks * LANES..a.len() {
-                tail += a[i];
-            }
-            if chunks == 0 {
-                return tail;
-            }
-            let s = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-            s + tail
-        }
-    };
+    }
+    for i in chunks * LANES..x.len() {
+        y[i] += alpha * x[i];
+    }
 }
-
-chunked_impl!(dot_f64, axpy_f64, sum_f64, f64, "`f64`");
-chunked_impl!(dot_f32, axpy_f32, sum_f32, f32, "`f32`");
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
-        // Explicit loop from +0.0 (`Iterator::sum` seeds with -0.0, which
-        // differs in bits on empty input).
-        let mut s = 0.0;
-        for (x, y) in a.iter().zip(b) {
-            s += x * y;
-        }
-        s
-    }
-
-    #[test]
-    fn short_slices_match_naive_bitwise() {
-        // Below one chunk the kernel *is* the sequential loop.
-        for n in 0..LANES {
-            let a: Vec<f64> = (0..n).map(|i| 0.1 + i as f64 * 0.7).collect();
-            let b: Vec<f64> = (0..n).map(|i| 1.3 - i as f64 * 0.2).collect();
-            assert_eq!(dot_f64(&a, &b).to_bits(), naive_dot(&a, &b).to_bits());
-        }
-    }
-
-    #[test]
-    fn long_slices_match_naive_to_tolerance() {
-        let a: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.11).cos()).collect();
-        let chunked = dot_f64(&a, &b);
-        let naive = naive_dot(&a, &b);
-        assert!((chunked - naive).abs() < 1e-9, "{chunked} vs {naive}");
-    }
-
-    #[test]
-    fn exact_on_integers_regardless_of_order() {
-        // Integer-valued products below 2^53 are exact in any summation
-        // order — the property the sparse-feature Gram path relies on.
-        let a: Vec<f64> = (0..100).map(|i| (i % 7) as f64).collect();
-        let b: Vec<f64> = (0..100).map(|i| (i % 5) as f64).collect();
-        assert_eq!(dot_f64(&a, &b), naive_dot(&a, &b));
-    }
 
     #[test]
     fn axpy_is_bit_identical_to_naive() {
@@ -172,26 +61,9 @@ mod tests {
     }
 
     #[test]
-    fn f32_variants_work() {
-        let a = vec![1.0f32; 20];
-        let b = vec![2.0f32; 20];
-        assert_eq!(dot_f32(&a, &b), 40.0);
-        assert_eq!(sum_f32(&a), 20.0);
-        let mut y = vec![0.0f32; 20];
-        axpy_f32(2.0, &a, &mut y);
-        assert!(y.iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn deterministic_across_calls() {
-        let a: Vec<f64> = (0..333).map(|i| (i as f64).sqrt()).collect();
-        assert_eq!(dot_f64(&a, &a).to_bits(), dot_f64(&a, &a).to_bits());
-        assert_eq!(sum_f64(&a).to_bits(), sum_f64(&a).to_bits());
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatch_panics() {
-        let _ = dot_f64(&[1.0], &[1.0, 2.0]);
+        let mut y = [0.0];
+        axpy_f64(1.0, &[1.0, 2.0], &mut y);
     }
 }
