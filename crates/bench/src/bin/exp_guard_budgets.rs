@@ -8,7 +8,7 @@
 //! 2. a work-limited partial hom count declaring itself incomplete;
 //! 3. exact treewidth degrading to the greedy min-degree upper bound;
 //! 4. cooperative cancellation of the same hopeless count;
-//! 5. SMO retry accounting under a non-convergent configuration.
+//! 5. SMO non-convergence under a step cap too small for the problem.
 //!
 //! Run with `X2V_OBS=json` to see the `guard/*` counters in the report, or
 //! pass `--budget-ms N` to bound the whole binary via the ambient budget.
@@ -112,9 +112,9 @@ fn run() -> Result<(), GuardError> {
         other => panic!("expected Cancelled, got {other:?}"),
     }
 
-    // 5. SMO retries: an indefinite "Gram" matrix with clashing labels
-    // never satisfies the KKT criterion, so every perturbed-seed retry is
-    // spent before the diagnostic surfaces.
+    // 5. SMO non-convergence: an indefinite "Gram" matrix with clashing
+    // labels needs two working-set steps; a one-step cap stops the solver
+    // short of the KKT criterion and the typed diagnostic surfaces.
     let mut hostile = Matrix::zeros(4, 4);
     for i in 0..4 {
         for j in 0..4 {
@@ -122,8 +122,7 @@ fn run() -> Result<(), GuardError> {
         }
     }
     let config = SvmConfig {
-        max_iters: 4,
-        retries: 2,
+        max_iters: 1,
         ..Default::default()
     };
     match KernelSvm::try_train(
@@ -132,11 +131,11 @@ fn run() -> Result<(), GuardError> {
         config,
         &Budget::unlimited(),
     ) {
-        Err(e @ GuardError::NonConvergence { retries, .. }) => {
+        Err(e @ GuardError::NonConvergence { iterations, .. }) => {
             print_row(
                 &[
-                    "SMO on an indefinite matrix".to_string(),
-                    format!("{retries} retries spent: {e}"),
+                    "SMO under a one-step cap".to_string(),
+                    format!("{iterations} working-set step spent: {e}"),
                 ],
                 W,
             );

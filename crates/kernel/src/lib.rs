@@ -15,14 +15,15 @@
 //!   Kondor–Lafferty line the paper mentions);
 //! * [`gram`] — Gram-matrix utilities: centering, cosine normalisation,
 //!   PSD verification;
-//! * [`svm`] — a kernel SVM (SMO) and a kernel perceptron: the downstream
-//!   classifiers the paper's empirical claims are phrased in terms of;
+//! * [`svm`] — a kernel SVM (SMO with LIBSVM's second-order working-set
+//!   selection) and a kernel perceptron: the downstream classifiers the
+//!   paper's empirical claims are phrased in terms of;
 //! * [`kpca`] — kernel principal component analysis;
 //! * [`kkmeans`] — kernel k-means clustering.
 //!
 //! Training and Gram post-processing are guarded: [`svm`] exposes
-//! [`svm::KernelSvm::try_train`] (budgeted SMO with perturbed-seed retries
-//! and a typed `NonConvergence` diagnostic) and [`gram`] exposes
+//! [`svm::KernelSvm::try_train`] (budgeted, deterministic SMO with a typed
+//! `NonConvergence` diagnostic at its step cap) and [`gram`] exposes
 //! `try_normalize`/`try_center`, which surface NaN/∞ contamination as
 //! [`x2v_guard::GuardError::NumericFailure`] instead of silently poisoning
 //! every downstream decision value.
