@@ -1,7 +1,7 @@
 //! Deterministic perf-regression suite.
 //!
 //! ```text
-//! bench_suite [--smoke] [--reps N] [--warmup N] [--out PATH] [--ckpt-dir PATH] [--resume]
+//! bench_suite [--smoke] [--reps N] [--warmup N] [--out PATH] [--budget-ms N]
 //! bench_suite diff <baseline.json> <candidate.json> [--threshold-pct P] [--informational]
 //! ```
 //!
@@ -10,12 +10,11 @@
 //! the current directory unless `--out` is given). The report write is
 //! atomic (temp file + fsync + rename), and a write failure is a hard
 //! error (exit 2) — a silently missing report would read as "no
-//! regressions" downstream. With `--ckpt-dir` (or `X2V_CKPT_DIR`) suite
-//! progress checkpoints after every workload; `--resume` restores the
-//! completed workloads of an interrupted run with the same configuration.
-//! The `diff` subcommand compares two reports and exits non-zero on gating
-//! median regressions — see `docs/bench-schema.md` for the file format and
-//! the regression rule.
+//! regressions" downstream. The suite only measures: it never reads or
+//! writes a checkpoint, even with `X2V_CKPT_DIR`/`X2V_RESUME` set, and an
+//! interrupted run is simply re-run. The `diff` subcommand compares two
+//! reports and exits non-zero on gating median regressions — see
+//! `docs/bench-schema.md` for the file format and the regression rule.
 
 use x2v_bench::suite::{
     diff_main, next_report_path, render_table, report_json, run_suite, SuiteConfig,
@@ -50,19 +49,15 @@ fn main() {
                 iter.next(); // consumed by ObsRun's ambient-budget scan
             }
             other if other.starts_with("--budget-ms=") => {}
-            "--resume" => cfg.resume = true, // also read by ObsRun's scan
-            "--ckpt-dir" => {
-                // Value consumed by ObsRun's ambient-store scan.
-                if iter.next().is_none() {
-                    usage_error("--ckpt-dir requires a path");
-                }
-            }
-            other if other.starts_with("--ckpt-dir=") => {}
             other => usage_error(&format!("unknown argument {other}")),
         }
     }
 
     let _obs = ObsRun::new("bench_suite");
+    // ObsRun installs a checkpoint store when X2V_CKPT_DIR/X2V_RESUME is
+    // set. The resumable paths the suite times would then save (and, on
+    // resume, skip) the very work being measured, so measure without one.
+    x2v_ckpt::clear_ambient();
     let results = run_suite(&cfg);
     print!("{}", render_table(&results));
 
@@ -82,7 +77,8 @@ fn main() {
 fn usage_error(msg: &str) -> ! {
     eprintln!("bench_suite: {msg}");
     eprintln!(
-        "usage: bench_suite [--smoke] [--reps N] [--warmup N] [--out PATH] | bench_suite diff ..."
+        "usage: bench_suite [--smoke] [--reps N] [--warmup N] [--out PATH] [--budget-ms N]\n       \
+         bench_suite diff <baseline.json> <candidate.json> [--threshold-pct P] [--informational]"
     );
     std::process::exit(2);
 }

@@ -131,14 +131,8 @@ fn run() -> Result<(), GuardError> {
         config,
         &Budget::unlimited(),
     ) {
-        Err(e @ GuardError::NonConvergence { iterations, .. }) => {
-            print_row(
-                &[
-                    "SMO under a one-step cap".to_string(),
-                    format!("{iterations} working-set step spent: {e}"),
-                ],
-                W,
-            );
+        Err(e @ GuardError::NonConvergence { .. }) => {
+            print_row(&["SMO under a one-step cap".to_string(), e.to_string()], W);
         }
         other => panic!("expected NonConvergence, got {other:?}"),
     }

@@ -30,10 +30,10 @@ pub mod suite;
 /// * arms the workspace-wide checkpoint escape hatch: a `--ckpt-dir PATH`
 ///   argument (or `X2V_CKPT_DIR=PATH`; the argument wins) opens an ambient
 ///   [`x2v_ckpt::Store`] there, so every resumable hot path (SGNS epochs,
-///   Gram row blocks, the bench suite) checkpoints durably without
-///   per-binary plumbing. A `--resume` argument (or `X2V_RESUME=1`)
-///   additionally opts in to *restoring* from those checkpoints —
-///   defaulting the store to `target/ckpt` when no directory was named;
+///   Gram row blocks) checkpoints durably without per-binary plumbing. A
+///   `--resume` argument (or `X2V_RESUME=1`) additionally opts in to
+///   *restoring* from those checkpoints — defaulting the store to
+///   `target/ckpt` when no directory was named;
 /// * initialises event tracing from `X2V_TRACE` (see `x2v-prof`): with
 ///   tracing on, every instrumented call site streams begin/end events
 ///   and the guard writes `target/trace/<run>.trace.json` on drop;

@@ -2,17 +2,21 @@
 //! `bench_diff` binaries.
 //!
 //! Every workload is fixed-seed, pinned to one worker thread, and spans
-//! one hot subsystem of the workspace (1-WL refinement, k-WL, brute-force
-//! and tree-decomposition hom counting, WL-kernel Gram + SVM folds,
-//! word2vec and node2vec, GNN forward), plus the E21 complexity
-//! workloads behind the paper's §4.3 claims (1-WL scaling in n, k-WL in
-//! k, hom(P8, G) by three algorithms, decomposition DP by treewidth, one
-//! 20-graph Gram per kernel). Each is run `warmup` untimed times, then
-//! `reps` timed times; the report records the **median** and **MAD**
-//! (median absolute deviation) of the per-rep wall times — robust
+//! one hot subsystem of the workspace (WL-kernel Gram + SVM folds,
+//! word2vec and node2vec, GNN forward, inline fleet execution), plus the
+//! E21 complexity workloads behind the paper's §4.3 claims (1-WL scaling
+//! in n, k-WL in k, hom(P8, G) by three algorithms, decomposition DP by
+//! treewidth, one 20-graph Gram per kernel). Each is run `warmup` untimed
+//! times, then `reps` timed times; the report records the **median** and
+//! **MAD** (median absolute deviation) of the per-rep wall times — robust
 //! location/scale estimates that one scheduler hiccup cannot move — plus
 //! min/max/mean and a deterministic `work` checksum that guards against
 //! accidentally benchmarking a changed computation.
+//!
+//! The suite only measures: it neither checkpoints nor resumes, and its
+//! caller must not have an ambient [`x2v_ckpt::Store`] installed, or the
+//! resumable paths it times (`gram_resumable`, `Word2Vec::train`) would
+//! time their checkpoint I/O too. A killed run is simply re-run.
 //!
 //! Reports are schema-versioned JSON (`BENCH_<n>.json` at the repo root by
 //! convention; see `docs/bench-schema.md`). [`diff_reports`] compares two
@@ -27,8 +31,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use x2v_ckpt::codec::{Dec, Enc};
-use x2v_ckpt::crc32::Crc32;
 use x2v_core::{GraphKernel, NodeEmbedding};
 use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_embed::node2vec::{Node2Vec, Node2VecConfig};
@@ -55,12 +57,6 @@ pub const BENCH_SCHEMA: &str = "x2v-bench/v1";
 /// Default regression threshold for [`diff_reports`] (percent).
 pub const DEFAULT_THRESHOLD_PCT: f64 = 20.0;
 
-/// The checkpoint job name for suite progress.
-pub const SUITE_JOB: &str = "bench-suite";
-
-/// The checkpoint frame kind for suite progress.
-pub const SUITE_CKPT_KIND: &str = "suite-progress";
-
 /// Suite execution parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SuiteConfig {
@@ -70,10 +66,6 @@ pub struct SuiteConfig {
     pub reps: usize,
     /// Untimed warmup runs per workload.
     pub warmup: usize,
-    /// Resume from the ambient checkpoint store: completed workloads from
-    /// an interrupted run with the *same* mode/reps/warmup are restored and
-    /// skipped (the `bench_suite --resume` flag).
-    pub resume: bool,
 }
 
 impl SuiteConfig {
@@ -83,7 +75,6 @@ impl SuiteConfig {
             smoke: false,
             reps: 7,
             warmup: 2,
-            resume: false,
         }
     }
 
@@ -93,7 +84,6 @@ impl SuiteConfig {
             smoke: true,
             reps: 1,
             warmup: 1,
-            resume: false,
         }
     }
 }
@@ -173,33 +163,6 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     };
     let pick = |full: usize, small: usize| if smoke { small } else { full };
 
-    // 1-WL colour refinement to the stable colouring.
-    let g_wl = gnp(pick(300, 60), 0.05, &mut StdRng::seed_from_u64(11));
-    push("wl/refine_1wl", Box::new(move || refine_work(&g_wl)));
-
-    // k-WL (k = 2): the n^k tuple-colouring refinement.
-    let g_kwl = gnp(pick(26, 12), 0.3, &mut StdRng::seed_from_u64(12));
-    push(
-        "wl/kwl_2",
-        Box::new(move || KwlRefiner::new(2).run(&g_kwl).histogram().len() as u64),
-    );
-
-    // Brute-force homomorphism counting (backtracking over n^{|F|}).
-    let f_brute = path(5);
-    let g_brute = gnp(pick(16, 9), 0.35, &mut StdRng::seed_from_u64(13));
-    push(
-        "hom/brute",
-        Box::new(move || fold_u128(x2v_hom::brute::hom_count(&f_brute, &g_brute))),
-    );
-
-    // Tree-decomposition DP homomorphism counting (n^{tw+1}).
-    let f_decomp = cycle(pick(8, 6));
-    let g_decomp = gnp(pick(28, 10), 0.15, &mut StdRng::seed_from_u64(14));
-    push(
-        "hom/decomp",
-        Box::new(move || fold_u128(x2v_hom::decomp::hom_count_decomp(&f_decomp, &g_decomp))),
-    );
-
     // WL-subtree kernel Gram matrix + cross-validated SVM folds, via the
     // crash-safe row-block builder (identical numbers without a store).
     let ds = cycles_vs_trees(pick(24, 8), 8, 15);
@@ -270,14 +233,6 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         Box::new(move || fold_u64s(batch.iter().map(|g| fold_f64s(&model.graph_embedding(g))))),
     );
 
-    // Feature-map WL-subtree Gram over one larger dataset through
-    // `gram_resumable` (one WL pass per graph, sparse merge-join dots).
-    let ds_feat = cycles_vs_trees(pick(40, 6), 9, 37).graphs;
-    push(
-        "kernel/gram_feat",
-        Box::new(move || gram_work(&WlSubtreeKernel::new(3), &ds_feat, "bench-gram-feat")),
-    );
-
     // Inline fleet execution of a Gram build: the coordinator/worker
     // protocol overhead (manifest publish, shard publish + validate +
     // merge through the ckpt store) on top of the same kernel math, in
@@ -326,8 +281,10 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     }
 
     // hom(P8, G) three ways: tree DP, closed-form walk count, brute force.
-    // One count, so the three `work` checksums must agree.
-    let g_p8 = gnp(pick(30, 8), 0.2, &mut StdRng::seed_from_u64(4));
+    // One count, so the three `work` checksums must agree. G(20, 0.2)
+    // keeps a brute-force rep well under 100 ms while it stays > 10³× one
+    // tree-DP call: the exponential/polynomial gap is the point.
+    let g_p8 = gnp(pick(20, 8), 0.2, &mut StdRng::seed_from_u64(4));
     let p8 = path(8);
     {
         let (g, p) = (g_p8.clone(), p8.clone());
@@ -427,118 +384,13 @@ fn median_u64(sorted: &[u64]) -> u64 {
     }
 }
 
-/// Fingerprints the suite configuration and workload list; a progress
-/// checkpoint from a different mode/reps/warmup (or workload set) is stale
-/// and triggers a fresh run instead of mixing incomparable measurements.
-fn suite_fingerprint(cfg: &SuiteConfig, reps: usize, names: &[&'static str]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(BENCH_SCHEMA.as_bytes());
-    c.update_u64(cfg.smoke as u64);
-    c.update_u64(reps as u64);
-    c.update_u64(cfg.warmup as u64);
-    c.update_u64(names.len() as u64);
-    for name in names {
-        c.update(name.as_bytes());
-    }
-    c.finish()
-}
-
-/// Encodes completed-workload results as a `suite-progress` payload.
-fn encode_progress(fingerprint: u32, results: &[BenchResult]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(fingerprint).u64(results.len() as u64);
-    for r in results {
-        e.str(r.name)
-            .u64(r.reps as u64)
-            .u64(r.median_ns)
-            .u64(r.mad_ns)
-            .f64(r.mean_ns)
-            .u64(r.min_ns)
-            .u64(r.max_ns)
-            .u64(r.work);
-    }
-    e.finish()
-}
-
-/// Decodes a `suite-progress` payload back into results, matching each
-/// stored entry against the expected workload order (`names`). Any
-/// mismatch — wrong fingerprint, unknown name, out-of-order entry — means
-/// the checkpoint is stale and the suite starts fresh.
-fn decode_progress(
-    payload: &[u8],
-    fingerprint: u32,
-    names: &[&'static str],
-) -> Option<Vec<BenchResult>> {
-    let mut d = Dec::new(payload);
-    if d.u32("fingerprint").ok()? != fingerprint {
-        return None;
-    }
-    let count = d.len(names.len(), "count").ok()?;
-    let mut out = Vec::with_capacity(count);
-    for &expected in names.iter().take(count) {
-        if d.str(256, "name").ok()? != expected {
-            return None;
-        }
-        out.push(BenchResult {
-            name: expected,
-            reps: usize::try_from(d.u64("reps").ok()?).ok()?,
-            median_ns: d.u64("median_ns").ok()?,
-            mad_ns: d.u64("mad_ns").ok()?,
-            mean_ns: d.f64("mean_ns").ok()?,
-            min_ns: d.u64("min_ns").ok()?,
-            max_ns: d.u64("max_ns").ok()?,
-            work: d.u64("work").ok()?,
-        });
-    }
-    d.finish("trailing").ok()?;
-    Some(out)
-}
-
 /// Runs the whole suite and returns per-workload statistics, in a fixed
 /// workload order. Panics if two reps disagree on the `work` checksum
 /// (a nondeterministic workload would make every diff meaningless).
-///
-/// With an ambient [`x2v_ckpt::Store`] installed, suite progress is
-/// checkpointed after every completed workload; with
-/// [`SuiteConfig::resume`] set, completed workloads from an interrupted
-/// run under the same configuration are restored and skipped. Resume is
-/// workload-granular: a workload interrupted mid-measurement re-runs in
-/// full, so its statistics never mix two processes' timings.
 pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let reps = cfg.reps.max(1);
-    let mut ws = workloads(cfg.smoke);
-    let names: Vec<&'static str> = ws.iter().map(|w| w.name).collect();
-    let fingerprint = suite_fingerprint(cfg, reps, &names);
-    let store = x2v_ckpt::ambient();
-    let mut results: Vec<BenchResult> = Vec::new();
-    if cfg.resume {
-        if let Some(store) = store.as_deref() {
-            let restored = store
-                .load_latest(SUITE_JOB, SUITE_CKPT_KIND)
-                .ok()
-                .flatten()
-                .and_then(|(_, payload)| decode_progress(&payload, fingerprint, &names));
-            match restored {
-                Some(done) if !done.is_empty() => {
-                    eprintln!(
-                        "[bench_suite] resuming: {}/{} workloads restored from checkpoint",
-                        done.len(),
-                        names.len()
-                    );
-                    results = done;
-                    x2v_ckpt::note_resumed();
-                }
-                _ => x2v_ckpt::note_cold_start(),
-            }
-        }
-    }
-    // Suite resume is workload-granular; the finer-grained epoch/row-block
-    // resume inside workloads would skip the very work being measured, so
-    // it is masked for the duration of the measurements.
-    let inner_resume = x2v_ckpt::resume_requested();
-    x2v_ckpt::set_resume(false);
-    let start = results.len();
-    for w in ws.iter_mut().skip(start) {
+    let mut results = Vec::new();
+    for mut w in workloads(cfg.smoke) {
         // Every workload runs pinned to one worker thread, so timings stay
         // comparable across machines with different core counts.
         let mut run_pinned = || x2v_par::with_threads(1, &mut w.run);
@@ -578,21 +430,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
             max_ns: times_ns[reps - 1],
             work,
         });
-        if let Some(store) = store.as_deref() {
-            if let Err(e) = store.save(
-                SUITE_JOB,
-                SUITE_CKPT_KIND,
-                &encode_progress(fingerprint, &results),
-            ) {
-                x2v_obs::counter_add("ckpt/save_failed", 1);
-                eprintln!("[bench_suite] progress checkpoint save failed: {e}");
-            }
-        }
-    }
-    x2v_ckpt::set_resume(inner_resume);
-    // The suite completed; its progress checkpoints are spent.
-    if let Some(store) = store.as_deref() {
-        let _ = store.clear_job(SUITE_JOB);
     }
     results
 }
@@ -748,7 +585,7 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
 }
 
 /// Loads a `BENCH_*.json` file.
-pub fn load_report(path: &Path) -> Result<LoadedReport, String> {
+fn load_report(path: &Path) -> Result<LoadedReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse_report(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -1049,47 +886,5 @@ mod tests {
         assert_eq!(median_u64(&[1, 2, 3]), 2);
         assert_eq!(median_u64(&[1, 2, 3, 10]), 2); // (2+3)/2 integer
         assert_eq!(median_u64(&[]), 0);
-    }
-
-    #[test]
-    fn suite_progress_round_trips_and_rejects_stale() {
-        let names: Vec<&'static str> = vec!["a/x", "b/y", "c/z"];
-        let done = vec![
-            BenchResult {
-                name: "a/x",
-                reps: 3,
-                median_ns: 100,
-                mad_ns: 2,
-                mean_ns: 101.5,
-                min_ns: 95,
-                max_ns: 110,
-                work: 7,
-            },
-            BenchResult {
-                name: "b/y",
-                reps: 3,
-                median_ns: 500,
-                mad_ns: 9,
-                mean_ns: 502.0,
-                min_ns: 480,
-                max_ns: 520,
-                work: 13,
-            },
-        ];
-        let fp = suite_fingerprint(&SuiteConfig::smoke(), 3, &names);
-        let payload = encode_progress(fp, &done);
-        let back = decode_progress(&payload, fp, &names).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].name, "a/x");
-        assert_eq!(back[1].median_ns, 500);
-        assert_eq!(back[1].mean_ns.to_bits(), 502.0f64.to_bits());
-        // Wrong fingerprint (different config) is rejected.
-        assert!(decode_progress(&payload, fp ^ 1, &names).is_none());
-        // A changed workload list is rejected.
-        assert!(decode_progress(&payload, fp, &["a/x", "other", "c/z"]).is_none());
-        // Truncation is rejected, never panics.
-        for cut in 0..payload.len() {
-            assert!(decode_progress(&payload[..cut], fp, &names).is_none());
-        }
     }
 }

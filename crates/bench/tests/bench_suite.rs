@@ -1,5 +1,5 @@
 //! End-to-end checks on the perf-regression suite: the smoke suite
-//! produces the same bench keys on every run (deterministic report
+//! produces the same 25 bench keys on every run (deterministic report
 //! shape) with unique keys, the three hom(P8, G) workloads agree on
 //! their count, the report roundtrips through the JSON loader, and the
 //! diff gate fires exactly when a median is synthetically inflated.
@@ -15,14 +15,19 @@ fn smoke_suite_has_stable_shape_and_gates_on_inflation() {
     let first = run_suite(&cfg);
     let second = run_suite(&cfg);
 
-    // At least the seven subsystems the roadmap names, same keys each run.
-    assert!(
-        first.len() >= 7,
-        "expected >= 7 benches, got {}",
-        first.len()
-    );
+    // 25 keys, the same each run, none of them a retired duplicate.
     let keys = |rs: &[x2v_bench::suite::BenchResult]| rs.iter().map(|r| r.name).collect::<Vec<_>>();
+    assert_eq!(first.len(), 25, "keys: {:?}", keys(&first));
     assert_eq!(keys(&first), keys(&second), "bench keys must be stable");
+    for retired in [
+        "wl/refine_1wl",
+        "wl/kwl_2",
+        "hom/brute",
+        "hom/decomp",
+        "kernel/gram_feat",
+    ] {
+        assert!(!keys(&first).contains(&retired), "{retired} is retired");
+    }
     let unique: std::collections::BTreeSet<&str> = keys(&first).into_iter().collect();
     assert_eq!(unique.len(), first.len(), "bench keys must be unique");
     let subsystems: std::collections::BTreeSet<&str> = first

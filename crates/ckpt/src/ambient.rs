@@ -17,9 +17,9 @@ static AMBIENT_SET: AtomicBool = AtomicBool::new(false);
 static RESUME: AtomicBool = AtomicBool::new(false);
 
 /// Installs a process-wide ambient store. Resumable hot paths
-/// (`Word2Vec::train`, `gram_resumable`, the bench suite) checkpoint into
-/// it, and — when [`set_resume`]`(true)` is also in effect — restore from
-/// it before starting work.
+/// (`Word2Vec::train`, `gram_resumable`) checkpoint into it, and — when
+/// [`set_resume`]`(true)` is also in effect — restore from it before
+/// starting work.
 pub fn install_ambient(store: Store) {
     *AMBIENT.lock().expect("ambient store lock") = Some(Arc::new(store));
     AMBIENT_SET.store(true, Ordering::Release);

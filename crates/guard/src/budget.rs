@@ -44,9 +44,9 @@ impl CancelToken {
 ///
 /// Work units are algorithm-defined but deterministic: recursion nodes for
 /// brute-force homomorphism counting, DP subset expansions for exact
-/// treewidth, tuple refinements for k-WL, SMO sweeps for the SVM. A run
-/// limited only by work units stops at an identical point — and returns an
-/// identical partial result — on every execution.
+/// treewidth, tuple refinements for k-WL, `n` units per working-set step
+/// for the SVM. A run limited only by work units stops at an identical
+/// point — and returns an identical partial result — on every execution.
 #[derive(Clone, Debug)]
 pub struct Budget {
     started: Instant,
@@ -95,60 +95,6 @@ impl Budget {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// Whether any constraint (deadline, work limit, cancel token) is set.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.work_limit.is_some() || self.cancel.is_some()
-    }
-
-    /// Milliseconds until the deadline (`None` when no deadline is set,
-    /// `Some(0)` when it has passed).
-    pub fn remaining_ms(&self) -> Option<u64> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64)
-    }
-
-    /// Time until the deadline (`None` when no deadline is set, zero when
-    /// it has passed).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Converts the remaining deadline into a socket read/write timeout:
-    /// the smaller of the time left and `cap`, clamped up to 1 ms (the
-    /// socket APIs reject a zero timeout). With no deadline set the result
-    /// is `cap` unchanged — a guarded server never blocks unboundedly.
-    ///
-    /// This is how blocking I/O composes with a [`Budget`]: [`Meter::tick`]
-    /// can only observe a deadline *between* operations, so a blocking
-    /// `read` must carry the deadline into the socket itself
-    /// (`set_read_timeout`) and map the resulting `WouldBlock`/`TimedOut`
-    /// back to a typed error.
-    ///
-    /// # Errors
-    /// [`GuardError::BudgetExhausted`] when the deadline has already
-    /// passed — callers should fail the request before touching the socket.
-    pub fn socket_timeout(
-        &self,
-        site: &'static str,
-        cap: Duration,
-    ) -> Result<Duration, GuardError> {
-        let Some(remaining) = self.remaining() else {
-            return Ok(cap.max(Duration::from_millis(1)));
-        };
-        if remaining.is_zero() {
-            x2v_obs::counter_add("guard/budget_exhausted", 1);
-            x2v_obs::mark("guard/budget_exhausted");
-            return Err(GuardError::BudgetExhausted {
-                site,
-                work_done: 0,
-                work_limit: None,
-                elapsed_ms: Some(self.started.elapsed().as_millis() as u64),
-            });
-        }
-        Ok(remaining.min(cap).max(Duration::from_millis(1)))
     }
 
     /// Polls the cancel token and the wall-clock deadline *without* any
@@ -242,7 +188,7 @@ impl Meter<'_> {
 
     /// Forces an immediate deadline/cancellation poll regardless of the
     /// check interval — call at coarse boundaries (per refinement round,
-    /// per SMO sweep) where responsiveness matters more than cost.
+    /// per training epoch) where responsiveness matters more than cost.
     pub fn checkpoint(&mut self) -> Result<(), GuardError> {
         if let Some(kind) = self.forced {
             return Err(self.forced_fault(kind));
@@ -412,7 +358,6 @@ mod tests {
             m.tick(1).unwrap();
         }
         assert_eq!(m.work_done(), 10_000);
-        assert!(!b.is_limited());
     }
 
     #[test]
@@ -445,40 +390,6 @@ mod tests {
             m.checkpoint(),
             Err(GuardError::BudgetExhausted { .. })
         ));
-        assert_eq!(b.remaining_ms(), Some(0));
-    }
-
-    #[test]
-    fn socket_timeout_tracks_the_deadline() {
-        // No deadline: the cap passes through.
-        let cap = Duration::from_millis(250);
-        let b = Budget::unlimited();
-        assert_eq!(b.socket_timeout("test/sock", cap).unwrap(), cap);
-        assert_eq!(b.remaining(), None);
-
-        // A distant deadline: capped, never zero.
-        let b = Budget::unlimited().with_deadline_ms(60_000);
-        let t = b.socket_timeout("test/sock", cap).unwrap();
-        assert_eq!(t, cap);
-        assert!(b.remaining().unwrap() > Duration::from_secs(50));
-
-        // A near deadline wins over the cap.
-        let b = Budget::unlimited().with_deadline_ms(40);
-        let t = b
-            .socket_timeout("test/sock", Duration::from_secs(10))
-            .unwrap();
-        assert!(t <= Duration::from_millis(40) && t >= Duration::from_millis(1));
-
-        // An expired deadline is a typed error, not a zero timeout.
-        let b = Budget::unlimited().with_deadline_ms(0);
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(matches!(
-            b.socket_timeout("test/sock", cap),
-            Err(GuardError::BudgetExhausted {
-                site: "test/sock",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -495,11 +406,11 @@ mod tests {
     #[test]
     fn ambient_round_trip() {
         clear_ambient();
-        assert!(!ambient().is_limited());
+        assert_eq!(ambient().work_limit, None);
         install_ambient(Budget::unlimited().with_work_limit(7));
         assert_eq!(ambient().work_limit, Some(7));
         clear_ambient();
-        assert!(!ambient().is_limited());
+        assert_eq!(ambient().work_limit, None);
     }
 
     #[test]

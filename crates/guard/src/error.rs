@@ -31,14 +31,12 @@ pub enum GuardError {
         work_done: u64,
     },
     /// An iterative algorithm hit its iteration cap without meeting its
-    /// convergence criterion (after any configured retries).
+    /// convergence criterion.
     NonConvergence {
         /// The guarded call site.
         site: &'static str,
-        /// Iterations performed across all attempts.
+        /// Iterations performed.
         iterations: u64,
-        /// Retries attempted before surfacing the diagnostic.
-        retries: u64,
         /// Human-readable diagnostic.
         detail: String,
     },
@@ -135,16 +133,6 @@ impl GuardError {
         }
     }
 
-    /// Whether this error represents resource governance (budget or
-    /// cancellation) rather than a genuine input/numeric problem — the
-    /// cases where a degraded answer is still meaningful.
-    pub fn is_resource(&self) -> bool {
-        matches!(
-            self,
-            GuardError::BudgetExhausted { .. } | GuardError::Cancelled { .. }
-        )
-    }
-
     /// The standardized process exit code for binaries that surface this
     /// error (see [`TRIAGE`]). One code per variant, so a CI fault matrix
     /// can assert *which* failure occurred instead of just "non-zero":
@@ -180,10 +168,7 @@ impl fmt::Display for GuardError {
                 if let Some(ms) = elapsed_ms {
                     write!(f, " ({ms} ms elapsed)")?;
                 }
-                write!(
-                    f,
-                    "; raise the budget or use the partial/degraded variant"
-                )
+                write!(f, "; raise the budget or use the partial/degraded variant")
             }
             GuardError::Cancelled { site, work_done } => {
                 write!(f, "cancelled at {site} after {work_done} work units")
@@ -191,11 +176,10 @@ impl fmt::Display for GuardError {
             GuardError::NonConvergence {
                 site,
                 iterations,
-                retries,
                 detail,
             } => write!(
                 f,
-                "{site} failed to converge after {iterations} iterations and {retries} retries: {detail}"
+                "{site} failed to converge after {iterations} steps: {detail}"
             ),
             GuardError::InvalidInput { site, message } => {
                 write!(f, "invalid input to {site}: {message}")
@@ -206,7 +190,11 @@ impl fmt::Display for GuardError {
             GuardError::Storage { site, message } => {
                 write!(f, "storage failure in {site}: {message}")
             }
-            GuardError::WorkerPanic { site, chunk, detail } => {
+            GuardError::WorkerPanic {
+                site,
+                chunk,
+                detail,
+            } => {
                 write!(
                     f,
                     "worker panic at {site} while executing chunk {chunk}: {detail}"
@@ -243,7 +231,7 @@ pub const TRIAGE: &str = "\
      4  Storage          an artifact write failed or a stored artifact is corrupt; check disk\n\
                          space and the quarantine directory, then re-run (resume is safe)\n\
      5  Cancelled        expected after a CancelToken fires; the partial work is discarded\n\
-     6  NonConvergence   raise max_iters/retries or loosen the tolerance\n\
+     6  NonConvergence   raise max_iters or loosen the tolerance\n\
      7  NumericFailure   the input poisons floating point (NaN/inf) or overflows exact counts\n\
      8  WorkerPanic      a parallel chunk closure panicked; the pool is fine — fix the bug the\n\
                          panic message names (or the armed panic fault) and re-run\n\

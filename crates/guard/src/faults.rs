@@ -382,8 +382,8 @@ pub fn panic_fault(site: &str) -> bool {
 
 /// Passes `value` through the NaN-poisoning point at `site`: returns NaN
 /// when an armed `nan` fault fires, `value` otherwise. Numeric hot paths
-/// route their most failure-prone quantity (a normalisation denominator, an
-/// SMO error term) through this so `NumericFailure` recovery is testable.
+/// route their most failure-prone quantity (a normalisation denominator, the
+/// SVM's working-set step length) through this so `NumericFailure` recovery is testable.
 #[inline]
 pub fn poison_f64(site: &str, value: f64) -> f64 {
     if !any_armed() {

@@ -105,8 +105,8 @@ impl KernelSvm {
     /// [`GuardError::NumericFailure`] on a non-finite kernel value or SMO
     /// step, [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`]
     /// when the budget trips (`n` work units per working-set step), and
-    /// [`GuardError::NonConvergence`] (with `retries: 0`) when
-    /// `max_iters` steps leave the gap above `tol`.
+    /// [`GuardError::NonConvergence`] when `max_iters` steps leave the gap
+    /// above `tol`.
     pub fn try_train(
         gram: &Matrix,
         y: &[f64],
@@ -118,7 +118,6 @@ impl KernelSvm {
             return Err(GuardError::NonConvergence {
                 site: SITE,
                 iterations: solution.steps,
-                retries: 0,
                 detail: format!(
                     "SMO hit the {}-step cap with maximal-violating-pair gap {:.3e} > tol {}; \
                      consider raising max_iters or loosening tol",
@@ -646,13 +645,12 @@ mod tests {
             ..Default::default()
         };
         match KernelSvm::try_train(&gram, &y, config, &Budget::unlimited()) {
-            Err(GuardError::NonConvergence {
-                retries,
-                iterations,
-                ..
-            }) => {
-                assert_eq!(retries, 0);
+            Err(e @ GuardError::NonConvergence { iterations, .. }) => {
                 assert_eq!(iterations, 1);
+                assert!(
+                    e.to_string().contains("failed to converge after 1 steps"),
+                    "{e}"
+                );
             }
             other => panic!("expected NonConvergence, got {other:?}"),
         }

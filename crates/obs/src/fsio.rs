@@ -37,9 +37,8 @@ fn temp_path_for(path: &Path) -> PathBuf {
 /// Stages `bytes` for `path` without committing: writes and fsyncs the
 /// temporary file and returns its path, leaving any existing `path`
 /// untouched. This is the state a crash between write and rename leaves
-/// behind — exposed so torn-write regression tests can simulate that
-/// crash window deterministically. Production code calls [`atomic_write`].
-pub fn atomic_stage(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
+/// behind, which the torn-write test below simulates deterministically.
+fn atomic_stage(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
     let tmp = temp_path_for(path);
     let mut f = OpenOptions::new()
         .write(true)
@@ -54,7 +53,7 @@ pub fn atomic_stage(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
 /// Commits a staged temporary file over `path` (atomic rename, then a
 /// best-effort fsync of the containing directory so the rename itself is
 /// durable).
-pub fn atomic_commit(tmp: &Path, path: &Path) -> std::io::Result<()> {
+fn atomic_commit(tmp: &Path, path: &Path) -> std::io::Result<()> {
     fs::rename(tmp, path)?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // Directory fsync is advisory: some filesystems reject opening a

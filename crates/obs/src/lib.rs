@@ -12,9 +12,9 @@
 //! * **Counters** ([`counter_add`]) and **histograms** ([`observe`]) for
 //!   domain quantities: WL rounds-to-stability, colour classes, hom-count
 //!   recursion nodes, negative samples drawn, SVM sweeps, Gram entries;
-//! * A hand-rolled **JSON exporter** ([`write_report`]) producing
-//!   `target/obs/<run>.json` with stable key order, plus a human-readable
-//!   table ([`print_table`]);
+//! * A hand-rolled **JSON exporter** ([`Report`], written by [`finish`])
+//!   producing `target/obs/<run>.json` with stable key order, plus a
+//!   human-readable table;
 //! * **Progress heartbeats** ([`progress`]) for long-running training
 //!   loops, routed to a pluggable handler.
 //!
@@ -163,11 +163,6 @@ fn init_slow() -> u32 {
 #[inline]
 pub fn enabled() -> bool {
     flags() & COLLECT != 0
-}
-
-/// Whether [`finish`] should write the JSON run report.
-pub fn report_enabled() -> bool {
-    flags() & REPORT != 0
 }
 
 /// Whether progress heartbeats are printed by the default handler.
@@ -368,12 +363,12 @@ pub fn reset() {
 
 /// Writes the JSON run report to `target/obs/<run>.json` (directory
 /// overridable via `X2V_OBS_DIR`) and returns the path.
-pub fn write_report(run: &str) -> std::io::Result<std::path::PathBuf> {
+fn write_report(run: &str) -> std::io::Result<std::path::PathBuf> {
     report(run).write_json_file()
 }
 
 /// Prints the human-readable metrics table to stderr.
-pub fn print_table(run: &str) {
+fn print_table(run: &str) {
     eprint!("{}", report(run).render_table());
 }
 

@@ -33,7 +33,7 @@
 //! lanes. A chunk that panics is contained with `catch_unwind`: the job
 //! aborts, remaining chunks are skipped, and the panic surfaces either
 //! re-thrown ([`map_chunks`]) or as the typed
-//! [`GuardError::WorkerPanic`] ([`try_map_chunks`]) — the pool itself is
+//! [`GuardError::WorkerPanic`] ([`try_map_items`]) — the pool itself is
 //! never poisoned. The armed fault `X2V_FAULTS=panic@par/worker`
 //! (`x2v_guard::faults::panic_fault`) panics a worker deliberately so this
 //! containment path is itself under test.
@@ -555,7 +555,7 @@ where
 /// sites that need a fully deterministic trip point pre-charge their
 /// budget on the coordinator (see the crate docs) so worker-side errors
 /// are only ever the timing-dependent deadline/cancel kind.
-pub fn try_map_chunks<T, F>(plan: &ChunkPlan, f: F) -> Result<Vec<T>, GuardError>
+fn try_map_chunks<T, F>(plan: &ChunkPlan, f: F) -> Result<Vec<T>, GuardError>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> Result<T, GuardError> + Sync,
