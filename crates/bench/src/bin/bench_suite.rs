@@ -53,11 +53,12 @@ fn main() {
         }
     }
 
-    let _obs = ObsRun::new("bench_suite");
-    // ObsRun installs a checkpoint store when X2V_CKPT_DIR/X2V_RESUME is
+    // ObsRun would open a checkpoint store when X2V_CKPT_DIR/X2V_RESUME is
     // set. The resumable paths the suite times would then save (and, on
     // resume, skip) the very work being measured, so measure without one.
-    x2v_ckpt::clear_ambient();
+    std::env::remove_var("X2V_CKPT_DIR");
+    std::env::remove_var("X2V_RESUME");
+    let _obs = ObsRun::new("bench_suite");
     let results = run_suite(&cfg);
     print!("{}", render_table(&results));
 

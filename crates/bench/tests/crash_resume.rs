@@ -182,6 +182,7 @@ fn bench_suite_never_checkpoints_even_with_a_store_in_the_env() {
         ],
     );
     assert!(ok, "the suite run with a store in the env must succeed");
+    assert!(!ckpt.exists(), "the suite must not even open the store");
 
     let jobs: Vec<_> = std::fs::read_dir(&ckpt)
         .map(|entries| {

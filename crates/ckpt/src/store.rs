@@ -44,12 +44,11 @@ const NAMED_EXTENSION: &str = "frame";
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    keep: usize,
 }
 
 impl Store {
-    /// Opens (creating if needed) a store rooted at `root`, with the
-    /// default retention of [`DEFAULT_RETENTION`] generations per job.
+    /// Opens (creating if needed) a store rooted at `root`, retaining
+    /// [`DEFAULT_RETENTION`] generations per job.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, GuardError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| {
@@ -58,17 +57,7 @@ impl Store {
                 format!("cannot create store root {}: {e}", root.display()),
             )
         })?;
-        Ok(Store {
-            root,
-            keep: DEFAULT_RETENTION,
-        })
-    }
-
-    /// Sets how many generations to retain per job (clamped to at least 2,
-    /// so corruption of the newest generation always leaves a fallback).
-    pub fn with_retention(mut self, keep: usize) -> Self {
-        self.keep = keep.max(2);
-        self
+        Ok(Store { root })
     }
 
     /// The store's root directory.
@@ -424,7 +413,7 @@ impl Store {
     /// Removes generations older than the retention window ending at
     /// `newest`.
     fn prune(&self, dir: &Path, newest: u64) -> Result<(), GuardError> {
-        let cutoff = newest.saturating_sub(self.keep as u64 - 1);
+        let cutoff = newest.saturating_sub(DEFAULT_RETENTION as u64 - 1);
         for (generation, path) in self.generations(dir)? {
             if generation < cutoff {
                 // Best-effort: a prune failure must not fail the save that
@@ -517,7 +506,7 @@ mod tests {
 
     #[test]
     fn retention_prunes_oldest() {
-        let store = tmpstore("prune").with_retention(2);
+        let store = tmpstore("prune");
         for i in 0..5u8 {
             store.save("j", "k", &[i]).unwrap();
         }
@@ -528,7 +517,10 @@ mod tests {
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         names.sort();
-        assert_eq!(names, vec!["gen-000004.ckpt", "gen-000005.ckpt"]);
+        assert_eq!(
+            names,
+            vec!["gen-000003.ckpt", "gen-000004.ckpt", "gen-000005.ckpt"]
+        );
         teardown(store);
     }
 

@@ -3,37 +3,10 @@
 //! The paper's framing: an embedding `f` *induces* a distance
 //! `dist_f(X, Y) = ‖f(X) − f(Y)‖`, and downstream quality of
 //! nearest-neighbour-style methods certifies that the induced geometry is
-//! semantically meaningful. This module provides the pairwise machinery and
-//! a 1-NN classifier used across examples and experiments.
+//! semantically meaningful. This module provides the 1-NN classifier and
+//! the accuracy measure used across examples and experiments.
 
-use x2v_linalg::vector::{cosine, euclidean};
-use x2v_linalg::Matrix;
-
-/// Pairwise Euclidean distance matrix of a set of embedded vectors.
-pub fn distance_matrix(vectors: &[Vec<f64>]) -> Matrix {
-    let n = vectors.len();
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = euclidean(&vectors[i], &vectors[j]);
-            m[(i, j)] = d;
-            m[(j, i)] = d;
-        }
-    }
-    m
-}
-
-/// Pairwise cosine similarity matrix.
-pub fn cosine_matrix(vectors: &[Vec<f64>]) -> Matrix {
-    let n = vectors.len();
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            m[(i, j)] = cosine(&vectors[i], &vectors[j]);
-        }
-    }
-    m
-}
+use x2v_linalg::vector::euclidean;
 
 /// 1-nearest-neighbour prediction: for each query vector, the label of the
 /// closest training vector.
@@ -59,36 +32,6 @@ pub fn knn1_predict(
         .collect()
 }
 
-/// k-nearest-neighbour majority-vote prediction.
-pub fn knn_predict(
-    train: &[Vec<f64>],
-    train_labels: &[usize],
-    queries: &[Vec<f64>],
-    k: usize,
-) -> Vec<usize> {
-    assert!(k >= 1 && k <= train.len(), "k out of range");
-    queries
-        .iter()
-        .map(|q| {
-            let mut idx: Vec<usize> = (0..train.len()).collect();
-            idx.sort_by(|&i, &j| {
-                euclidean(q, &train[i])
-                    .partial_cmp(&euclidean(q, &train[j]))
-                    .expect("finite distances")
-            });
-            let mut votes = std::collections::HashMap::new();
-            for &i in idx.iter().take(k) {
-                *votes.entry(train_labels[i]).or_insert(0usize) += 1;
-            }
-            votes
-                .into_iter()
-                .max_by_key(|&(label, count)| (count, usize::MAX - label))
-                .expect("k >= 1")
-                .0
-        })
-        .collect()
-}
-
 /// Classification accuracy.
 pub fn accuracy(predicted: &[usize], actual: &[usize]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "length mismatch");
@@ -104,15 +47,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn distance_matrix_symmetric_zero_diagonal() {
-        let v = vec![vec![0.0, 0.0], vec![3.0, 4.0], vec![1.0, 1.0]];
-        let m = distance_matrix(&v);
-        assert_eq!(m[(0, 1)], 5.0);
-        assert_eq!(m[(1, 0)], 5.0);
-        assert_eq!(m[(2, 2)], 0.0);
-    }
-
-    #[test]
     fn knn1_classifies_clusters() {
         let train = vec![vec![0.0], vec![0.1], vec![10.0], vec![10.1]];
         let labels = vec![0, 0, 1, 1];
@@ -121,25 +55,8 @@ mod tests {
     }
 
     #[test]
-    fn knn_majority_vote() {
-        let train = vec![vec![0.0], vec![0.2], vec![0.4], vec![5.0]];
-        let labels = vec![0, 0, 1, 1];
-        // query near the 0-cluster: with k=3, votes 0,0,1 → 0.
-        let pred = knn_predict(&train, &labels, &[vec![0.1]], 3);
-        assert_eq!(pred, vec![0]);
-    }
-
-    #[test]
     fn accuracy_counts() {
         assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 4]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn cosine_matrix_diagonal_ones() {
-        let v = vec![vec![1.0, 0.0], vec![0.0, 2.0]];
-        let m = cosine_matrix(&v);
-        assert!((m[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!(m[(0, 1)].abs() < 1e-12);
     }
 }

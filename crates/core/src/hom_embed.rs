@@ -21,11 +21,6 @@ impl HomVectorEmbedding {
         }
     }
 
-    /// A custom basis.
-    pub fn with_basis(basis: HomBasis) -> Self {
-        HomVectorEmbedding { basis }
-    }
-
     /// The underlying basis.
     pub fn basis(&self) -> &HomBasis {
         &self.basis

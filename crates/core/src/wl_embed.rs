@@ -19,26 +19,12 @@ pub struct WlSubtreeEmbedding {
     rounds: usize,
     /// Dense index per (round, colour).
     index: x2v_graph::hash::FxHashMap<(usize, Colour), usize>,
-    /// Per-round weights (√ of the kernel's round weight so that the dot
-    /// product of embeddings equals the weighted kernel).
-    round_weight: Vec<f64>,
 }
 
 impl WlSubtreeEmbedding {
     /// Fits the colour vocabulary on a dataset with `rounds` refinement
     /// rounds and uniform round weights (the t-round WL subtree kernel).
     pub fn fit(graphs: &[Graph], rounds: usize) -> Self {
-        Self::fit_weighted(graphs, rounds, |_| 1.0)
-    }
-
-    /// Fits with the discounted weights of the paper's `K_WL`
-    /// (`2^{-i}` for round `i`).
-    pub fn fit_discounted(graphs: &[Graph], rounds: usize) -> Self {
-        Self::fit_weighted(graphs, rounds, |i| 0.5f64.powi(i as i32))
-    }
-
-    /// Fits with arbitrary per-round weights.
-    pub fn fit_weighted<W: Fn(usize) -> f64>(graphs: &[Graph], rounds: usize, w: W) -> Self {
         let mut refiner = Refiner::new();
         let mut index = x2v_graph::hash::FxHashMap::default();
         for g in graphs {
@@ -50,12 +36,10 @@ impl WlSubtreeEmbedding {
                 }
             }
         }
-        let round_weight = (0..=rounds).map(|i| w(i).sqrt()).collect();
         WlSubtreeEmbedding {
             refiner: std::sync::Mutex::new(refiner),
             rounds,
             index,
-            round_weight,
         }
     }
 
@@ -74,7 +58,7 @@ impl GraphEmbedding for WlSubtreeEmbedding {
             let (keys, counts) = f.round(i);
             for (&c, &count) in keys.iter().zip(counts) {
                 if let Some(&j) = self.index.get(&(i, c)) {
-                    out[j] = self.round_weight[i] * count as f64;
+                    out[j] = count as f64;
                 }
             }
         }
@@ -109,16 +93,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn discounted_embedding_matches_discounted_kernel() {
-        let graphs = vec![cycle(4), path(4)];
-        let emb = WlSubtreeEmbedding::fit_discounted(&graphs, 3);
-        let feats = dataset_sparse_features(&graphs, 3);
-        let explicit = dot(&emb.embed(&graphs[0]), &emb.embed(&graphs[1]));
-        let kernel = feats[0].discounted_dot(&feats[1]);
-        assert!((explicit - kernel).abs() < 1e-9);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub fn er_vs_preferential(per_class: usize, n: usize, m_attach: usize, seed: u64
 /// classes are vertex-transitive/regular, so 1-WL alone sees nothing — the
 /// WL-hard end of the spectrum, separable by cycle counts and higher-order
 /// structure.
-pub fn circulant_vs_regular(per_class: usize, n: usize, seed: u64) -> GraphDataset {
+fn circulant_vs_regular(per_class: usize, n: usize, seed: u64) -> GraphDataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graphs = Vec::new();
     let mut labels = Vec::new();

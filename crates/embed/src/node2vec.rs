@@ -27,14 +27,6 @@ impl Node2Vec {
         Node2Vec { config }
     }
 
-    /// With the return/in-out biases set and defaults elsewhere.
-    pub fn with_bias(p: f64, q: f64) -> Self {
-        let mut config = Node2VecConfig::default();
-        config.walks.p = p;
-        config.walks.q = q;
-        Node2Vec { config }
-    }
-
     /// Trains and returns the full model (for access beyond the trait).
     pub fn train(&self, g: &Graph) -> Word2Vec {
         self.train_job(g, "node2vec")
@@ -106,7 +98,10 @@ mod tests {
     #[test]
     fn dimension_and_shape() {
         let g = x2v_graph::generators::cycle(8);
-        let n2v = Node2Vec::with_bias(0.5, 2.0);
+        let mut config = Node2VecConfig::default();
+        config.walks.p = 0.5;
+        config.walks.q = 2.0;
+        let n2v = Node2Vec::new(config);
         let vecs = n2v.embed_nodes(&g);
         assert_eq!(vecs.len(), 8);
         assert_eq!(vecs[0].len(), n2v.dimension());

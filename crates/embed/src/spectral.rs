@@ -41,7 +41,7 @@ pub struct ExpDistanceSvd {
 
 impl ExpDistanceSvd {
     /// The similarity matrix `exp(−c·dist)` (unreachable pairs get 0).
-    pub fn similarity_matrix(&self, g: &Graph) -> Matrix {
+    fn similarity_matrix(&self, g: &Graph) -> Matrix {
         let n = g.order();
         let d = all_pairs_distances(g);
         let mut s = Matrix::zeros(n, n);

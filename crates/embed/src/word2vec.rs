@@ -412,11 +412,6 @@ impl Word2Vec {
         self.dim
     }
 
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
-    }
-
     /// Cosine similarity of two tokens.
     pub fn similarity(&self, a: usize, b: usize) -> f64 {
         x2v_linalg::vector::cosine(self.vector(a), self.vector(b))

@@ -195,7 +195,7 @@ impl Heartbeat {
 /// Encodes a shard payload. Deliberately excludes any producer identity:
 /// shard bytes are a function of (manifest, task) alone, so duplicated
 /// publishes are byte-identical.
-pub fn encode_shard(task: usize, data: &[u8]) -> Vec<u8> {
+fn encode_shard(task: usize, data: &[u8]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(task as u64).bytes(data);
     e.finish()

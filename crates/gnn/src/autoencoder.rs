@@ -132,7 +132,8 @@ impl GraphAutoencoder {
 
     /// AUC of edge reconstruction: the probability that a random true edge
     /// scores above a random non-edge (exact, all pairs).
-    pub fn reconstruction_auc(&self, g: &Graph) -> f64 {
+    #[cfg(test)]
+    fn reconstruction_auc(&self, g: &Graph) -> f64 {
         let n = g.order();
         let mut pos = Vec::new();
         let mut neg = Vec::new();
@@ -186,6 +187,10 @@ mod tests {
         );
         let auc = gae.reconstruction_auc(&g);
         assert!(auc > 0.8, "reconstruction AUC {auc}");
+        // The inner-product decoder is a symmetric edge probability.
+        let s = gae.edge_score(0, 1);
+        assert!((0.0..=1.0).contains(&s));
+        assert_eq!(s.to_bits(), gae.edge_score(1, 0).to_bits());
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   training for graph- and node-level tasks;
 //! * [`autoencoder`] — graph autoencoders (Section 2.5): unsupervised
 //!   embedding training by adjacency reconstruction;
-//! * [`node_classifier`] — semi-supervised node classification (label a
-//!   handful of nodes, predict the rest through message passing);
 //! * [`higher`] — 2-dimensional GNNs on vertex pairs ([78]), the fully
 //!   invariant route past the 1-WL ceiling;
 //! * [`express`] — the Section 3.6 expressiveness results as executable
@@ -34,4 +32,3 @@ pub mod express;
 pub mod higher;
 pub mod layer;
 pub mod model;
-pub mod node_classifier;

@@ -58,7 +58,7 @@ impl GnnModel {
     }
 
     /// Builds the initial feature matrix for a graph.
-    pub fn initial_features(&self, g: &Graph) -> Matrix {
+    fn initial_features(&self, g: &Graph) -> Matrix {
         let n = g.order();
         match self.init {
             InitialFeatures::Constant => Matrix::filled(n, self.in_dim, 1.0),
@@ -175,7 +175,7 @@ impl GnnClassifier {
     }
 
     /// Class probabilities for one graph.
-    pub fn predict_proba(&self, g: &Graph) -> Vec<f64> {
+    fn predict_proba(&self, g: &Graph) -> Vec<f64> {
         let r = self.model.graph_embedding(g);
         let logits: Vec<f64> = (0..self.w_out.rows())
             .map(|c| {

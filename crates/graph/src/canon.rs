@@ -158,7 +158,7 @@ fn ahu(g: &Graph, v: usize, parent: usize) -> String {
 
 /// The centroid(s) of a tree: node(s) minimising the maximum component size
 /// after removal. Every tree has one or two centroids.
-pub fn tree_centroids(g: &Graph) -> Vec<usize> {
+fn tree_centroids(g: &Graph) -> Vec<usize> {
     let n = g.order();
     if n == 1 {
         return vec![0];

@@ -106,13 +106,13 @@ impl<'a> CfiBuilder<'a> {
     }
 
     /// The untwisted CFI graph (`T = ∅`).
-    pub fn untwisted(&self) -> Graph {
+    fn untwisted(&self) -> Graph {
         self.build(&[])
     }
 
     /// The twisted CFI graph (one twisted edge; any single edge gives the
     /// same isomorphism type over a connected base).
-    pub fn twisted(&self) -> Graph {
+    fn twisted(&self) -> Graph {
         self.build(&[0])
     }
 }

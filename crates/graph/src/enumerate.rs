@@ -168,7 +168,7 @@ pub fn free_trees(n: usize) -> Vec<Graph> {
 /// All free trees of order `n` with maximum degree ≤ 3 ("binary trees" as
 /// free trees) — the building blocks of the paper's Section-4 experimental
 /// feature class (20 binary trees and cycles).
-pub fn binary_trees(n: usize) -> Vec<Graph> {
+fn binary_trees(n: usize) -> Vec<Graph> {
     free_trees(n)
         .into_iter()
         .filter(|t| (0..t.order()).all(|v| t.degree(v) <= 3))

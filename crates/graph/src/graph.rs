@@ -549,16 +549,6 @@ impl WeightedGraph {
         }
         a
     }
-
-    /// All weighted edges `(u, v, α)` with `u < v`.
-    pub fn weighted_edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.order()).flat_map(move |u| {
-            self.weighted_neighbours(u)
-                .iter()
-                .filter(move |&&(v, _)| u < v)
-                .map(move |&(v, w)| (u, v, w))
-        })
-    }
 }
 
 #[cfg(test)]

@@ -170,7 +170,7 @@ fn prepared_search<'a>(g: &'a Graph, h: &'a Graph, count_all: bool) -> Option<Is
 }
 
 /// Finds an isomorphism `g → h` if one exists.
-pub fn find_isomorphism(g: &Graph, h: &Graph) -> Option<Vec<usize>> {
+fn find_isomorphism(g: &Graph, h: &Graph) -> Option<Vec<usize>> {
     let mut s = prepared_search(g, h, false)?;
     if s.search(0) {
         Some(s.map)

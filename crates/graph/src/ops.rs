@@ -62,8 +62,7 @@ pub fn complement(g: &Graph) -> Graph {
 /// isomorphism-invariance property tests.
 ///
 /// # Panics
-/// If `perm` is not a permutation of `0..g.order()` — see [`try_permute`]
-/// for the typed-error variant.
+/// If `perm` is not a permutation of `0..g.order()`.
 pub fn permute(g: &Graph, perm: &[usize]) -> Graph {
     try_permute(g, perm).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -73,7 +72,7 @@ pub fn permute(g: &Graph, perm: &[usize]) -> Graph {
 /// # Errors
 /// [`GraphError::InvalidArgument`] when `perm` has the wrong length,
 /// contains an out-of-range image, or repeats one.
-pub fn try_permute(g: &Graph, perm: &[usize]) -> Result<Graph> {
+fn try_permute(g: &Graph, perm: &[usize]) -> Result<Graph> {
     if perm.len() != g.order() {
         return Err(GraphError::InvalidArgument(format!(
             "not a permutation: length {} for a graph of order {}",
@@ -111,8 +110,7 @@ pub fn try_permute(g: &Graph, perm: &[usize]) -> Result<Graph> {
 /// result corresponds to `nodes[i]`.
 ///
 /// # Panics
-/// On out-of-range or repeated nodes — see [`try_induced_subgraph`] for
-/// the typed-error variant.
+/// On out-of-range or repeated nodes.
 pub fn induced_subgraph(g: &Graph, nodes: &[usize]) -> Graph {
     try_induced_subgraph(g, nodes).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -122,7 +120,7 @@ pub fn induced_subgraph(g: &Graph, nodes: &[usize]) -> Graph {
 /// # Errors
 /// [`GraphError::InvalidArgument`] when `nodes` contains an index
 /// `>= g.order()` or the same index twice.
-pub fn try_induced_subgraph(g: &Graph, nodes: &[usize]) -> Result<Graph> {
+fn try_induced_subgraph(g: &Graph, nodes: &[usize]) -> Result<Graph> {
     let mut seen = vec![false; g.order()];
     for &u in nodes {
         if u >= g.order() {
@@ -152,30 +150,12 @@ pub fn try_induced_subgraph(g: &Graph, nodes: &[usize]) -> Result<Graph> {
     Ok(b.build())
 }
 
-/// The line graph `L(G)`: one node per edge of `G`, adjacent iff the edges
-/// share an endpoint.
-pub fn line_graph(g: &Graph) -> Graph {
-    let edges = g.edge_vec();
-    let mut b = GraphBuilder::new(edges.len());
-    for i in 0..edges.len() {
-        for j in (i + 1)..edges.len() {
-            let (a, c) = edges[i];
-            let (x, y) = edges[j];
-            if a == x || a == y || c == x || c == y {
-                b.add_edge(i, j).expect("fresh edge");
-            }
-        }
-    }
-    b.build()
-}
-
 /// The `k`-fold blow-up: every node becomes an independent set of `k` copies,
 /// every edge a complete bipartite bundle. Used to compare graphs of
 /// different orders via the least common multiple (Section 5.1, after [67]).
 ///
 /// # Panics
-/// If `k == 0` or `g.order() * k` overflows — see [`try_blow_up`] for the
-/// typed-error variant.
+/// If `k == 0` or `g.order() * k` overflows.
 pub fn blow_up(g: &Graph, k: usize) -> Graph {
     try_blow_up(g, k).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -185,7 +165,7 @@ pub fn blow_up(g: &Graph, k: usize) -> Graph {
 /// # Errors
 /// [`GraphError::InvalidArgument`] when `k == 0` (the blow-up factor must
 /// be positive) or the blown-up order `g.order() * k` overflows `usize`.
-pub fn try_blow_up(g: &Graph, k: usize) -> Result<Graph> {
+fn try_blow_up(g: &Graph, k: usize) -> Result<Graph> {
     if k == 0 {
         return Err(GraphError::InvalidArgument(
             "blow-up factor must be positive".into(),
@@ -279,23 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn line_graph_of_path() {
-        // L(P4) = P3
-        let p = generators::path(4);
-        let l = line_graph(&p);
-        assert_eq!(l.order(), 3);
-        assert_eq!(l.size(), 2);
-    }
-
-    #[test]
-    fn line_graph_of_star_is_complete() {
-        let s = generators::star(4);
-        let l = line_graph(&s);
-        assert_eq!(l.order(), 4);
-        assert_eq!(l.size(), 6);
-    }
-
-    #[test]
     fn blow_up_counts() {
         let e = generators::path(2); // single edge
         let b = blow_up(&e, 3);
@@ -337,25 +300,6 @@ mod tests {
     }
 }
 
-/// The Cartesian product `G □ H`: vertices `V(G) × V(H)`; `(u, v)` adjacent
-/// to `(u', v')` iff (`u = u'` and `vv' ∈ E(H)`) or (`uu' ∈ E(G)` and
-/// `v = v'`). Node `(u, v)` has index `u · |H| + v`.
-pub fn cartesian_product(g: &Graph, h: &Graph) -> Graph {
-    let (n, m) = (g.order(), h.order());
-    let mut b = GraphBuilder::new(n * m);
-    for u in 0..n {
-        for (v, w) in h.edges() {
-            b.add_edge(u * m + v, u * m + w).expect("fresh");
-        }
-    }
-    for (u, up) in g.edges() {
-        for v in 0..m {
-            b.add_edge(u * m + v, up * m + v).expect("fresh");
-        }
-    }
-    b.build()
-}
-
 /// The tensor (categorical) product `G × H`: `(u, v)` adjacent to
 /// `(u', v')` iff `uu' ∈ E(G)` and `vv' ∈ E(H)`. This is the categorical
 /// product of graphs: homomorphisms into it are pairs of homomorphisms, so
@@ -382,26 +326,6 @@ pub fn tensor_product(g: &Graph, h: &Graph) -> Graph {
 mod product_tests {
     use super::*;
     use crate::generators::{complete, cycle, path};
-
-    #[test]
-    fn cartesian_k2_square_is_c4() {
-        let k2 = path(2);
-        let c4 = cartesian_product(&k2, &k2);
-        assert!(crate::iso::are_isomorphic(&c4, &cycle(4)));
-    }
-
-    #[test]
-    fn cartesian_degree_sum() {
-        // deg_{G□H}(u,v) = deg_G(u) + deg_H(v).
-        let g = cycle(3);
-        let h = path(3);
-        let p = cartesian_product(&g, &h);
-        for u in 0..3 {
-            for v in 0..3 {
-                assert_eq!(p.degree(u * 3 + v), g.degree(u) + h.degree(v));
-            }
-        }
-    }
 
     #[test]
     fn tensor_product_edge_count() {

@@ -2,7 +2,7 @@
 //! graphs (Section 4.2), and knowledge graphs (binary relational structures,
 //! Section 2.3).
 
-use crate::{DiGraph, Graph, GraphBuilder, GraphError, Result};
+use crate::{Graph, GraphBuilder, GraphError, Result};
 
 /// A relation symbol: a name and an arity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,11 +46,6 @@ impl Vocabulary {
     /// Whether the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
-    }
-
-    /// The maximum arity over all symbols (0 for an empty vocabulary).
-    pub fn max_arity(&self) -> usize {
-        self.symbols.iter().map(|s| s.arity).max().unwrap_or(0)
     }
 }
 
@@ -256,29 +251,6 @@ impl KnowledgeGraph {
     pub fn contains(&self, h: usize, r: usize, t: usize) -> bool {
         self.triples.contains(&(h, r, t))
     }
-
-    /// The directed graph of one relation type.
-    pub fn relation_digraph(&self, r: usize) -> DiGraph {
-        let arcs: Vec<(usize, usize)> = self
-            .triples
-            .iter()
-            .filter(|&&(_, rr, _)| rr == r)
-            .map(|&(h, _, t)| (h, t))
-            .collect();
-        DiGraph::from_arcs(self.n_entities, &arcs).expect("validated at construction")
-    }
-
-    /// Dense adjacency matrix `A_R` of relation `r`, row-major `n × n`.
-    pub fn relation_adjacency_flat(&self, r: usize) -> Vec<f64> {
-        let n = self.n_entities;
-        let mut a = vec![0.0; n * n];
-        for &(h, rr, t) in &self.triples {
-            if rr == r {
-                a[h * n + t] = 1.0;
-            }
-        }
-        a
-    }
 }
 
 #[cfg(test)]
@@ -352,11 +324,6 @@ mod tests {
         assert_eq!(kg.triples().len(), 3); // duplicate dropped
         assert!(kg.contains(0, 0, 1));
         assert!(!kg.contains(1, 1, 0));
-        let d = kg.relation_digraph(0);
-        assert_eq!(d.size(), 2);
-        let a = kg.relation_adjacency_flat(1);
-        assert_eq!(a[3], 1.0); // (0,3)
-        assert_eq!(a[12], 0.0); // (3,0)
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     #[inline]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
 }

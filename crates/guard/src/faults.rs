@@ -226,13 +226,6 @@ pub fn inject_socket(kind: SocketFaultKind, site: &str, at: u64) {
     arm(Kind::Socket(kind), site, at.max(1));
 }
 
-/// Programmatically arms a process fault: the `at`-th query of
-/// [`proc_fault`] at `site` (1-based) answers `kind`.
-pub fn inject_proc(kind: ProcFaultKind, site: &str, at: u64) {
-    ensure_env_parsed();
-    arm(Kind::Proc(kind), site, at.max(1));
-}
-
 /// Disarms every pending fault (armed by env or programmatically).
 pub fn clear() {
     ensure_env_parsed();
@@ -445,12 +438,6 @@ mod tests {
         assert_eq!(socket_fault("test/socket"), None); // query 1: not yet
         assert_eq!(socket_fault("test/socket"), Some(SocketFaultKind::ConnDrop));
         assert_eq!(socket_fault("test/socket"), None); // fired, stays off
-
-        inject_proc(ProcFaultKind::Kill9, "test/proc", 2);
-        assert_eq!(proc_fault("other/proc"), None);
-        assert_eq!(proc_fault("test/proc"), None); // query 1: not yet
-        assert_eq!(proc_fault("test/proc"), Some(ProcFaultKind::Kill9));
-        assert_eq!(proc_fault("test/proc"), None); // fired, stays off
 
         clear();
         assert!(!any_armed());

@@ -96,7 +96,7 @@ pub fn hom_count_rooted(f: &Graph, root: usize, g: &Graph, v: usize) -> u128 {
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] when the
 /// budget trips; [`GuardError::InvalidInput`] on out-of-range vertices.
-pub fn try_hom_count_rooted(
+fn try_hom_count_rooted(
     f: &Graph,
     root: usize,
     g: &Graph,
@@ -148,7 +148,7 @@ pub fn emb_count(f: &Graph, g: &Graph) -> u128 {
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] when the
 /// budget trips.
-pub fn try_emb_count(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard::Result<u128> {
+fn try_emb_count(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard::Result<u128> {
     let _timer = x2v_obs::span("hom/brute_emb_count");
     let order = connectivity_order(f);
     let gbits = g.adjacency_bits();
@@ -182,7 +182,7 @@ pub fn epi_count(f: &Graph, g: &Graph) -> u128 {
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] when the
 /// budget trips.
-pub fn try_epi_count(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard::Result<u128> {
+fn try_epi_count(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard::Result<u128> {
     let _timer = x2v_obs::span("hom/brute_epi_count");
     if f.order() < g.order() || f.size() < g.size() {
         return Ok(0);
@@ -213,30 +213,6 @@ pub fn try_epi_count(f: &Graph, g: &Graph, budget: &Budget) -> x2v_guard::Result
     };
     let mut hom_total = 0u128;
     guarded_count(f, g, budget, &mut check, &mut hom_total)?;
-    Ok(total)
-}
-
-/// Enumerates all homomorphisms, calling `visit` with each complete image
-/// vector. Returns the count.
-pub fn for_each_hom<F: FnMut(&[usize])>(f: &Graph, g: &Graph, visit: &mut F) -> u128 {
-    let budget = x2v_guard::ambient();
-    try_for_each_hom(f, g, &budget, visit).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Enumerates all homomorphisms within `budget`, calling `visit` with each
-/// complete image vector. Returns the count of homomorphisms visited.
-///
-/// # Errors
-/// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] when the
-/// budget trips; homomorphisms already visited are not revisited on retry.
-pub fn try_for_each_hom<F: FnMut(&[usize])>(
-    f: &Graph,
-    g: &Graph,
-    budget: &Budget,
-    visit: &mut F,
-) -> x2v_guard::Result<u128> {
-    let mut total = 0u128;
-    guarded_count(f, g, budget, visit, &mut total)?;
     Ok(total)
 }
 
@@ -458,16 +434,6 @@ mod tests {
         // C5 cannot map onto P2 (odd cycle is not bipartite).
         assert_eq!(epi_count(&cycle(5), &path(2)), 0);
         assert_eq!(epi_count(&path(2), &path(3)), 0);
-    }
-
-    #[test]
-    fn for_each_enumerates_all() {
-        let mut seen = Vec::new();
-        let c = for_each_hom(&path(2), &path(2), &mut |img| seen.push(img.to_vec()));
-        assert_eq!(c, 2);
-        assert_eq!(seen.len(), 2);
-        assert!(seen.contains(&vec![0, 1]));
-        assert!(seen.contains(&vec![1, 0]));
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn placement_order(f: &DiGraph) -> Vec<usize> {
 }
 
 /// Whether a digraph is acyclic.
-pub fn is_dag(g: &DiGraph) -> bool {
+fn is_dag(g: &DiGraph) -> bool {
     // Kahn's algorithm.
     let n = g.order();
     let mut indeg: Vec<usize> = (0..n).map(|v| g.in_neighbours(v).len()).collect();
@@ -131,7 +131,7 @@ pub fn digraphs_isomorphic(g: &DiGraph, h: &DiGraph) -> bool {
 
 /// A canonical key for small digraphs (min adjacency bitstring over all
 /// permutations; `n ≤ 6`).
-pub fn digraph_canonical_key(g: &DiGraph) -> u64 {
+fn digraph_canonical_key(g: &DiGraph) -> u64 {
     let n = g.order();
     assert!(n * n <= 36, "canonical key limited to order 6");
     let mut perm: Vec<usize> = (0..n).collect();

@@ -67,7 +67,7 @@ pub fn indistinguishable_over(class: &[Graph], g: &Graph, h: &Graph) -> bool {
 /// Builds the linear system (3.2)–(3.3) of the paper for graphs `g`, `h`:
 /// unknowns `X_vw` (row-major `n × n`), equations `AX = XB` and all row/
 /// column sums = 1. Returns `(coefficient matrix, rhs)` over ℚ.
-pub fn iso_equations(g: &Graph, h: &Graph) -> (RatMatrix, Vec<Rat>) {
+fn iso_equations(g: &Graph, h: &Graph) -> (RatMatrix, Vec<Rat>) {
     assert_eq!(g.order(), h.order(), "system defined for equal orders");
     let n = g.order();
     let unknowns = n * n;

@@ -102,17 +102,6 @@ pub(crate) fn try_hom_count_tree<E>(
     Ok(try_rooted_hom_counts(tree, 0, g, tick)?.iter().sum())
 }
 
-/// `hom(F, G)` for a forest `F`: product over the tree components.
-pub fn hom_count_forest(forest: &Graph, g: &Graph) -> u128 {
-    let mut total = 1u128;
-    for (comp, _) in x2v_graph::ops::components(forest) {
-        total = total
-            .checked_mul(hom_count_tree(&comp, g))
-            .expect("forest hom count overflowed u128");
-    }
-    total
-}
-
 /// Floating-point rooted counts (for very large instances / log-embeddings).
 pub fn rooted_hom_counts_f64(tree: &Graph, root: usize, g: &Graph) -> Vec<f64> {
     let (order, parent) = root_order(tree, root);
@@ -144,14 +133,6 @@ pub fn rooted_hom_counts_f64(tree: &Graph, root: usize, g: &Graph) -> Vec<f64> {
         h[u] = hu;
     }
     std::mem::take(&mut h[root])
-}
-
-/// `hom(T, G)` as f64.
-pub fn hom_count_tree_f64(tree: &Graph, g: &Graph) -> f64 {
-    if tree.order() == 0 {
-        return 1.0;
-    }
-    rooted_hom_counts_f64(tree, 0, g).iter().sum()
 }
 
 #[cfg(test)]
@@ -201,13 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_multiplicativity() {
-        let f = x2v_graph::ops::disjoint_union(&path(3), &star(2));
-        let g = cycle(6);
-        assert_eq!(hom_count_forest(&f, &g), brute::hom_count(&f, &g));
-    }
-
-    #[test]
     fn labels_respected() {
         let t = path(2).with_labels(vec![1, 2]).unwrap();
         let g = path(3).with_labels(vec![1, 2, 1]).unwrap();
@@ -221,7 +195,7 @@ mod tests {
         let t = free_trees(7).pop().unwrap();
         let g = petersen();
         let exact = hom_count_tree(&t, &g) as f64;
-        let float = hom_count_tree_f64(&t, &g);
+        let float: f64 = rooted_hom_counts_f64(&t, 0, &g).iter().sum();
         assert!((exact - float).abs() / exact.max(1.0) < 1e-12);
     }
 

@@ -145,7 +145,6 @@ fn fill_degree(g: &Graph, eliminated: u32, v: usize) -> usize {
 ///
 /// Metered against the ambient [`Budget`]; panics with an actionable
 /// message when it trips or when `g` is too large (use
-/// [`try_exact_treewidth`] for recoverable errors, or
 /// [`treewidth_budgeted`] for automatic degradation to the greedy
 /// min-degree upper bound).
 pub fn exact_treewidth(g: &Graph) -> (usize, Vec<usize>) {
@@ -162,7 +161,7 @@ pub fn exact_treewidth(g: &Graph) -> (usize, Vec<usize>) {
 /// [`GuardError::InvalidInput`] for graphs over 24 vertices,
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] when the
 /// budget trips.
-pub fn try_exact_treewidth(g: &Graph, budget: &Budget) -> x2v_guard::Result<(usize, Vec<usize>)> {
+fn try_exact_treewidth(g: &Graph, budget: &Budget) -> x2v_guard::Result<(usize, Vec<usize>)> {
     let _timer = x2v_obs::span("hom/exact_treewidth");
     let n = g.order();
     if n > 24 {
@@ -247,7 +246,7 @@ fn fill_degree_any(g: &Graph, eliminated: &[bool], v: usize) -> usize {
 /// treewidth plus the elimination order achieving it. `O(n² · m)`, valid
 /// for graphs of any order — the degradation target when the exact DP is
 /// out of budget or out of range.
-pub fn treewidth_upper_bound(g: &Graph) -> (usize, Vec<usize>) {
+fn treewidth_upper_bound(g: &Graph) -> (usize, Vec<usize>) {
     let n = g.order();
     let mut eliminated = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -278,12 +277,12 @@ pub enum TreewidthQuality {
 }
 
 /// Treewidth with graceful degradation: runs the exact DP within `budget`
-/// and falls back to [`treewidth_upper_bound`] (recording
+/// and falls back to the greedy min-degree upper bound (recording
 /// `guard/degraded`) when the budget trips or the graph exceeds the exact
 /// DP's 24-vertex range. Returns `(width, elimination_order, quality)`.
 ///
-/// The returned order always witnesses the returned width, so
-/// [`decomposition_from_order`] yields a valid decomposition either way.
+/// The returned order always witnesses the returned width, so a tree
+/// decomposition built from it is valid either way.
 pub fn treewidth_budgeted(g: &Graph, budget: &Budget) -> (usize, Vec<usize>, TreewidthQuality) {
     match try_exact_treewidth(g, budget) {
         Ok((tw, order)) => (tw, order, TreewidthQuality::Exact),
@@ -298,7 +297,7 @@ pub fn treewidth_budgeted(g: &Graph, budget: &Budget) -> (usize, Vec<usize>, Tre
 /// Builds a tree decomposition of width `tw` from an elimination order
 /// achieving it: bag of `v` = `{v} ∪ (front of v)`, attached to the bag of
 /// the first later-eliminated vertex in its front.
-pub fn decomposition_from_order(g: &Graph, order: &[usize]) -> TreeDecomposition {
+fn decomposition_from_order(g: &Graph, order: &[usize]) -> TreeDecomposition {
     let n = g.order();
     assert!(
         n <= 32,

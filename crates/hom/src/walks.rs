@@ -99,23 +99,6 @@ pub(crate) fn try_cycle_profile<E>(
     Ok(traces)
 }
 
-/// Walk counts between fixed endpoints: `(A^k)_{uv}` for `k = 0..=kmax` —
-/// rooted path homomorphism counts.
-pub fn walk_counts(g: &Graph, u: usize, v: usize, kmax: usize) -> Vec<u128> {
-    let n = g.order();
-    let mut col = vec![0u128; n];
-    let mut next = vec![0u128; n];
-    col[u] = 1;
-    let mut out = Vec::with_capacity(kmax + 1);
-    out.push(col[v]);
-    for _ in 1..=kmax {
-        adj_matvec(g, &col, &mut next);
-        std::mem::swap(&mut col, &mut next);
-        out.push(col[v]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +157,5 @@ mod tests {
         assert_eq!(hom_path(3, &c4k1), 16);
         // …but equal cycle profiles (co-spectral).
         assert_eq!(cycle_profile(&s, 8), cycle_profile(&c4k1, 8));
-    }
-
-    #[test]
-    fn walk_counts_endpoints() {
-        let g = cycle(4);
-        let w = walk_counts(&g, 0, 0, 4);
-        // ±1 step sequences mod 4 summing to 0: lengths 0..4 give
-        // 1, 0, 2, 0, 8 (for length 4: C(4,0)+C(4,2)+C(4,4) = 8).
-        assert_eq!(w, vec![1, 0, 2, 0, 8]);
     }
 }

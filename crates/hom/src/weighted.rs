@@ -10,7 +10,7 @@ use x2v_wl::weighted::WeightedRefiner;
 
 /// Weighted tree homomorphism counts rooted at every target node:
 /// `result[v] = hom(T, G; root ↦ v)`.
-pub fn rooted_weighted_hom(tree: &Graph, root: usize, g: &WeightedGraph) -> Vec<f64> {
+fn rooted_weighted_hom(tree: &Graph, root: usize, g: &WeightedGraph) -> Vec<f64> {
     let n = g.order();
     debug_assert_eq!(tree.size() + 1, tree.order(), "pattern must be a tree");
     // Order with parents first.
@@ -64,7 +64,7 @@ pub fn rooted_weighted_hom(tree: &Graph, root: usize, g: &WeightedGraph) -> Vec<
 }
 
 /// `hom(T, G)` for a tree pattern and weighted target.
-pub fn weighted_hom_tree(tree: &Graph, g: &WeightedGraph) -> f64 {
+fn weighted_hom_tree(tree: &Graph, g: &WeightedGraph) -> f64 {
     if tree.order() == 0 {
         return 1.0;
     }

@@ -329,27 +329,6 @@ pub fn try_center(k: &Matrix) -> x2v_guard::Result<Matrix> {
     Ok(out)
 }
 
-/// Evaluates a test-against-train kernel block and centres it consistently
-/// with a centred training Gram matrix (standard kernel-PCA projection
-/// bookkeeping).
-pub fn center_block(k_train: &Matrix, k_block: &Matrix) -> Matrix {
-    let n = k_train.rows();
-    let nf = n as f64;
-    let train_row_means: Vec<f64> = (0..n)
-        .map(|i| k_train.row(i).iter().sum::<f64>() / nf)
-        .collect();
-    let total_mean: f64 = train_row_means.iter().sum::<f64>() / nf;
-    let m = k_block.rows();
-    let mut out = Matrix::zeros(m, n);
-    for q in 0..m {
-        let qmean: f64 = k_block.row(q).iter().sum::<f64>() / nf;
-        for j in 0..n {
-            out[(q, j)] = k_block[(q, j)] - qmean - train_row_means[j] + total_mean;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,14 +361,6 @@ mod tests {
         }
         // Centering is idempotent.
         assert!(center(&c).approx_eq(&c, 1e-9));
-    }
-
-    #[test]
-    fn center_block_matches_center_on_train() {
-        let k = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let c = center(&k);
-        let cb = center_block(&k, &k);
-        assert!(cb.approx_eq(&c, 1e-9));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use x2v_graph::Graph;
 
 /// Counts of induced 3-vertex subgraph types:
 /// `[empty, single edge, path P3, triangle]`.
-pub fn graphlet3_counts(g: &Graph) -> [u64; 4] {
+fn graphlet3_counts(g: &Graph) -> [u64; 4] {
     let n = g.order();
     let mut out = [0u64; 4];
     for a in 0..n {
@@ -32,7 +32,7 @@ pub fn graphlet3_counts(g: &Graph) -> [u64; 4] {
 /// isomorphism classes:
 /// `[empty, e1, e2-matching, e2-path, triangle+iso, P4, star, C4, paw,
 ///   diamond, K4]`.
-pub fn graphlet4_counts(g: &Graph) -> [u64; 11] {
+fn graphlet4_counts(g: &Graph) -> [u64; 11] {
     let n = g.order();
     let mut out = [0u64; 11];
     for a in 0..n {

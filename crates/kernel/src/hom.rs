@@ -1,40 +1,9 @@
-//! The homomorphism-vector kernel of eq. (4.1), as a [`GraphKernel`].
+//! The log-scaled homomorphism-vector kernel, as a [`GraphKernel`]. The
+//! kernel of eq. (4.1) itself is [`HomBasis::kernel`].
 
 use x2v_core::GraphKernel;
 use x2v_graph::Graph;
 use x2v_hom::vectors::HomBasis;
-
-/// Kernel `K_F(G, H) = Σ_k (1/|F_k|) Σ_{F ∈ F_k} k^{-k} hom(F,G)·hom(F,H)`
-/// over a finite basis class `F` (eq. 4.1 truncated, as the paper suggests
-/// for practice).
-pub struct HomKernel {
-    basis: HomBasis,
-}
-
-impl HomKernel {
-    /// Over an explicit basis.
-    pub fn new(basis: HomBasis) -> Self {
-        HomKernel { basis }
-    }
-
-    /// The paper's trees-and-cycles class of size `count`.
-    pub fn trees_and_cycles(count: usize) -> Self {
-        HomKernel {
-            basis: HomBasis::trees_and_cycles(count),
-        }
-    }
-
-    /// The underlying basis.
-    pub fn basis(&self) -> &HomBasis {
-        &self.basis
-    }
-}
-
-impl GraphKernel for HomKernel {
-    fn eval(&self, g: &Graph, h: &Graph) -> f64 {
-        self.basis.kernel(g, h)
-    }
-}
 
 /// The *log-scaled* hom-vector kernel: the dot product of the practical
 /// embedding `(1/|F|) log(1 + hom(F, ·))` — what one actually feeds an SVM.
@@ -75,14 +44,7 @@ impl GraphKernel for LogHomKernel {
 mod tests {
     use super::*;
     use crate::gram::is_psd;
-    use x2v_graph::generators::{cycle, path, petersen, star};
-
-    #[test]
-    fn hom_kernel_psd() {
-        let k = HomKernel::trees_and_cycles(10);
-        let graphs = vec![cycle(5), path(5), star(4), petersen()];
-        assert!(is_psd(&k.gram(&graphs), 1e-6));
-    }
+    use x2v_graph::generators::{cycle, path, star};
 
     #[test]
     fn log_kernel_psd_and_batch_consistent() {

@@ -4,7 +4,7 @@
 //! onto the leading components scaled by `1/√λ` so the projected features
 //! have unit variance directions.
 
-use crate::gram::{center, center_block};
+use crate::gram::center;
 use x2v_linalg::eigen::sym_eigen;
 use x2v_linalg::Matrix;
 
@@ -45,12 +45,6 @@ impl KernelPca {
     /// Embedded training points (`n × d`): rows are the kPCA coordinates.
     pub fn transform_train(&self) -> Matrix {
         center(&self.k_train).matmul(&self.projection)
-    }
-
-    /// Projects new points given their kernel block against the training
-    /// set (`k_block[q, i] = K(query_q, train_i)`).
-    pub fn transform(&self, k_block: &Matrix) -> Matrix {
-        center_block(&self.k_train, k_block).matmul(&self.projection)
     }
 
     /// Number of components.
@@ -97,17 +91,6 @@ mod tests {
         assert_eq!(t[(0, 0)].signum(), t[(1, 0)].signum());
         assert_eq!(t[(2, 0)].signum(), t[(3, 0)].signum());
         assert_ne!(t[(0, 0)].signum(), t[(2, 0)].signum());
-    }
-
-    #[test]
-    fn out_of_sample_projection_consistent() {
-        let pts = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
-        let k = gram_of(&pts);
-        let pca = KernelPca::fit(&k, 1);
-        let train = pca.transform_train();
-        // Projecting the training block must reproduce transform_train.
-        let again = pca.transform(&k);
-        assert!(again.approx_eq(&train, 1e-9));
     }
 
     #[test]

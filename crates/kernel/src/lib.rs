@@ -10,14 +10,15 @@
 //! * [`random_walk`] — the direct-product random-walk kernel (the first
 //!   dedicated graph kernels, Section 2.4);
 //! * [`graphlet`] — 3-/4-node connected-subgraph count kernels;
-//! * [`hom`] — the homomorphism-vector kernel of eq. (4.1);
+//! * [`hom`] — the log-scaled homomorphism-vector kernel (the kernel of
+//!   eq. (4.1) itself is `x2v_hom::vectors::HomBasis::kernel`);
 //! * [`node`] — node kernels (diffusion / regularised Laplacian, the
 //!   Kondor–Lafferty line the paper mentions);
 //! * [`gram`] — Gram-matrix utilities: centering, cosine normalisation,
 //!   PSD verification;
 //! * [`svm`] — a kernel SVM (SMO with LIBSVM's second-order working-set
-//!   selection) and a kernel perceptron: the downstream classifiers the
-//!   paper's empirical claims are phrased in terms of;
+//!   selection): the downstream classifier the paper's empirical claims
+//!   are phrased in terms of;
 //! * [`kpca`] — kernel principal component analysis;
 //! * [`kkmeans`] — kernel k-means clustering.
 //!

@@ -8,7 +8,7 @@ use x2v_linalg::eigen::sym_eigen;
 use x2v_linalg::Matrix;
 
 /// The graph Laplacian `L = D − A`.
-pub fn laplacian(g: &Graph) -> Matrix {
+fn laplacian(g: &Graph) -> Matrix {
     let n = g.order();
     let mut l = Matrix::zeros(n, n);
     for v in 0..n {

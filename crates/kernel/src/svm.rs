@@ -1,7 +1,6 @@
-//! Kernel support vector machines (Cortes–Vapnik, Section 2.4), plus a
-//! kernel perceptron baseline.
+//! Kernel support vector machines (Cortes–Vapnik, Section 2.4).
 //!
-//! Both operate purely on Gram matrices — the "implicit embedding" usage of
+//! They operate purely on Gram matrices — the "implicit embedding" usage of
 //! kernels the paper describes: the feature vectors are never materialised.
 //!
 //! [`KernelSvm`] solves the C-SVC dual
@@ -269,11 +268,6 @@ impl KernelSvm {
             -1.0
         }
     }
-
-    /// Number of support vectors (`α_i > 0`).
-    pub fn num_support_vectors(&self) -> usize {
-        self.alpha.iter().filter(|&&a| a > 1e-9).count()
-    }
 }
 
 /// WSS2: returns the maximal-violating-pair gap `m(α) − M(α)` and the
@@ -418,59 +412,6 @@ impl MulticlassSvm {
     }
 }
 
-/// A kernel perceptron — the simplest kernel classifier; useful baseline.
-pub struct KernelPerceptron {
-    /// Mistake counts per training point.
-    pub alpha: Vec<f64>,
-    /// Training labels in `{−1, +1}`.
-    pub labels: Vec<f64>,
-}
-
-impl KernelPerceptron {
-    /// Trains for `epochs` passes over the data.
-    pub fn train(gram: &Matrix, y: &[f64], epochs: usize) -> Self {
-        let n = y.len();
-        let mut alpha = vec![0.0f64; n];
-        for _ in 0..epochs {
-            let mut mistakes = 0;
-            for i in 0..n {
-                let mut s = 0.0;
-                for j in 0..n {
-                    if alpha[j] != 0.0 {
-                        s += alpha[j] * y[j] * gram[(j, i)];
-                    }
-                }
-                if s * y[i] <= 0.0 {
-                    alpha[i] += 1.0;
-                    mistakes += 1;
-                }
-            }
-            if mistakes == 0 {
-                break;
-            }
-        }
-        KernelPerceptron {
-            alpha,
-            labels: y.to_vec(),
-        }
-    }
-
-    /// Predicted `±1` label from a kernel row.
-    pub fn predict(&self, k_query: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for i in 0..self.alpha.len() {
-            if self.alpha[i] != 0.0 {
-                s += self.alpha[i] * self.labels[i] * k_query[i];
-            }
-        }
-        if s >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,7 +452,7 @@ mod tests {
         }
         assert_eq!(svm.predict(&krow(&pts, &[5.0, 5.0])), 1.0);
         assert_eq!(svm.predict(&krow(&pts, &[-5.0, -4.0])), -1.0);
-        assert!(svm.num_support_vectors() >= 2);
+        assert!(svm.alpha.iter().filter(|&&a| a > 1e-9).count() >= 2);
     }
 
     #[test]
@@ -553,21 +494,6 @@ mod tests {
         assert_eq!(m.predict(&krow(&pts, &[0.1, 6.0])), 0);
         assert_eq!(m.predict(&krow(&pts, &[6.0, 0.1])), 1);
         assert_eq!(m.predict(&krow(&pts, &[-6.0, -6.0])), 2);
-    }
-
-    #[test]
-    fn perceptron_learns_separable() {
-        let pts = vec![
-            vec![1.0, 1.0],
-            vec![2.0, 1.5],
-            vec![-1.0, -1.0],
-            vec![-2.0, -0.5],
-        ];
-        let y = vec![1.0, 1.0, -1.0, -1.0];
-        let p = KernelPerceptron::train(&gram_of(&pts), &y, 50);
-        for (pt, &label) in pts.iter().zip(&y) {
-            assert_eq!(p.predict(&krow(&pts, pt)), label);
-        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub fn is_doubly_stochastic(x: &Matrix, tol: f64) -> bool {
     true
 }
 
-/// The uniform doubly stochastic matrix (barycentre of the polytope).
-pub fn barycentre(n: usize) -> Matrix {
-    Matrix::filled(n, n, 1.0 / n as f64)
-}
-
 /// Result of the Frank-Wolfe minimisation.
 pub struct FrankWolfeResult {
     /// The final iterate (doubly stochastic up to numerical error).
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn barycentre_is_doubly_stochastic() {
-        assert!(is_doubly_stochastic(&barycentre(5), 1e-12));
+        assert!(is_doubly_stochastic(&Matrix::filled(5, 5, 0.2), 1e-12));
         assert!(!is_doubly_stochastic(&Matrix::zeros(2, 2), 1e-12));
     }
 

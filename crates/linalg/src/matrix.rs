@@ -171,7 +171,7 @@ impl Matrix {
     }
 
     /// Scales every entry in place.
-    pub fn scale_in_place(&mut self, s: f64) {
+    fn scale_in_place(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }
@@ -227,7 +227,7 @@ impl Matrix {
     }
 
     /// Maximum absolute entry difference to `rhs`.
-    pub fn max_abs_diff(&self, rhs: &Matrix) -> f64 {
+    fn max_abs_diff(&self, rhs: &Matrix) -> f64 {
         assert_eq!(
             (self.rows, self.cols),
             (rhs.rows, rhs.cols),

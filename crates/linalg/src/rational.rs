@@ -57,16 +57,6 @@ impl Rat {
         Rat { num: n, den: 1 }
     }
 
-    /// Numerator (sign-carrying).
-    pub fn num(&self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (always positive).
-    pub fn den(&self) -> i128 {
-        self.den
-    }
-
     /// Whether this is zero.
     pub fn is_zero(&self) -> bool {
         self.num == 0
@@ -77,16 +67,11 @@ impl Rat {
         self.num < 0
     }
 
-    /// Approximate `f64` value.
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
     /// On zero.
-    pub fn recip(&self) -> Rat {
+    fn recip(&self) -> Rat {
         assert!(self.num != 0, "division by zero rational");
         Rat::new(self.den, self.num)
     }
@@ -208,7 +193,8 @@ impl RatMatrix {
     }
 
     /// From integer rows.
-    pub fn from_int_rows(rows: &[&[i128]]) -> Self {
+    #[cfg(test)]
+    fn from_int_rows(rows: &[&[i128]]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, |x| x.len());
         let mut data = Vec::with_capacity(r * c);
@@ -266,7 +252,7 @@ impl RatMatrix {
     }
 
     /// Reduced row echelon form; returns (rref, pivot columns).
-    pub fn rref(&self) -> (RatMatrix, Vec<usize>) {
+    fn rref(&self) -> (RatMatrix, Vec<usize>) {
         let mut m = self.clone();
         let mut pivots = Vec::new();
         let mut row = 0;

@@ -1,6 +1,5 @@
 //! Floating-point linear solvers: LU with partial pivoting, Householder QR
-//! least squares, numerical rank, and feasibility checks for the linear
-//! systems (3.2)–(3.3) of the paper.
+//! least squares and numerical rank.
 
 use crate::Matrix;
 
@@ -120,32 +119,6 @@ pub fn qr_least_squares(a: &Matrix, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Residual `‖A x − b‖₂` of the least-squares solution — near zero iff the
-/// system is (numerically) feasible over ℝ.
-pub fn least_squares_residual(a: &Matrix, b: &[f64]) -> f64 {
-    let x = if a.rows() >= a.cols() {
-        qr_least_squares(a, b)
-    } else {
-        // Underdetermined: solve the normal equations AᵀA x = Aᵀ b padded —
-        // minimum-norm solution via Aᵀ(AAᵀ)⁻¹ b approximated by QR on Aᵀ
-        // against each unit direction is overkill; instead solve
-        // (AᵀA + λI) x = Aᵀb with tiny ridge for stability.
-        let at = a.transpose();
-        let mut ata = at.matmul(a);
-        for i in 0..ata.rows() {
-            ata[(i, i)] += 1e-10;
-        }
-        let atb = at.matvec(b);
-        lu_solve(&ata, &atb).unwrap_or_else(|| vec![0.0; a.cols()])
-    };
-    let ax = a.matvec(&x);
-    ax.iter()
-        .zip(b)
-        .map(|(p, q)| (p - q) * (p - q))
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// Numerical rank via QR-like elimination with a relative tolerance.
 pub fn rank(a: &Matrix, tol: f64) -> usize {
     let mut m = a.clone();
@@ -217,7 +190,6 @@ mod tests {
         let x = qr_least_squares(&a, &[3.0, -1.0, 2.0]);
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] - 2.0).abs() < 1e-10);
-        assert!(least_squares_residual(&a, &[3.0, -1.0, 2.0]) < 1e-10);
     }
 
     #[test]
@@ -228,20 +200,6 @@ mod tests {
         let x = qr_least_squares(&a, &b);
         assert!((x[0] - 2.0).abs() < 1e-10);
         assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn infeasible_system_has_residual() {
-        let a = Matrix::from_rows(&[&[1.0], &[1.0]]);
-        let res = least_squares_residual(&a, &[0.0, 1.0]);
-        assert!((res - (0.5f64).sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn underdetermined_feasible() {
-        // x + y = 2 with two unknowns — feasible.
-        let a = Matrix::from_rows(&[&[1.0, 1.0]]);
-        assert!(least_squares_residual(&a, &[2.0]) < 1e-4);
     }
 
     #[test]

@@ -66,23 +66,6 @@ pub fn truncated_factor(a: &Matrix, d: usize) -> Matrix {
     x
 }
 
-/// Best rank-`d` approximation `A_d = U_d Σ_d V_dᵀ` (Eckart–Young).
-pub fn low_rank_approx(a: &Matrix, d: usize) -> Matrix {
-    let s = svd(a);
-    let d = d.min(s.sigma.len());
-    let mut out = Matrix::zeros(a.rows(), a.cols());
-    for j in 0..d {
-        let sj = s.sigma[j];
-        for i in 0..a.rows() {
-            let uij = s.u[(i, j)] * sj;
-            for k in 0..a.cols() {
-                out[(i, k)] += uij * s.v[(k, j)];
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,13 +94,6 @@ mod tests {
         let s = svd(&a);
         assert!((s.sigma[0] - 5.0).abs() < 1e-10);
         assert!((s.sigma[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn eckart_young_rank_one() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 1.0]]);
-        let a1 = low_rank_approx(&a, 1);
-        assert!(a1.approx_eq(&Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 0.0]]), 1e-9));
     }
 
     #[test]

@@ -12,14 +12,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Euclidean (`ℓ₂`) norm.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// `ℓ_p` norm for `p ≥ 1`.
-pub fn norm_p(a: &[f64], p: f64) -> f64 {
-    assert!(p >= 1.0, "p must be >= 1");
-    a.iter().map(|x| x.abs().powf(p)).sum::<f64>().powf(1.0 / p)
 }
 
 /// Euclidean distance.
@@ -94,7 +88,6 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert!((norm_p(&[1.0, -1.0, 1.0], 1.0) - 3.0).abs() < 1e-12);
         assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
     }
 

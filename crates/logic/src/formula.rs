@@ -43,11 +43,6 @@ impl Formula {
         }
     }
 
-    /// Universal `∀x φ` = `¬∃x ¬φ`.
-    pub fn forall(var: Var, body: Formula) -> Formula {
-        Formula::Not(Box::new(Formula::exists(var, Formula::Not(Box::new(body)))))
-    }
-
     /// Conjunction helper.
     pub fn and(self, rhs: Formula) -> Formula {
         Formula::And(Box::new(self), Box::new(rhs))
@@ -262,8 +257,9 @@ mod tests {
 
     #[test]
     fn forall_and_labels() {
-        // ∀x L_1(x): all nodes labelled 1.
-        let f = Formula::forall(0, Formula::Label(0, 1));
+        // ∀x L_1(x) = ¬∃x ¬L_1(x): all nodes labelled 1.
+        let not_l1 = Formula::Not(Box::new(Formula::Label(0, 1)));
+        let f = Formula::Not(Box::new(Formula::exists(0, not_l1)));
         let g = path(2).with_labels(vec![1, 1]).unwrap();
         let h = path(2).with_labels(vec![1, 0]).unwrap();
         assert!(f.eval_sentence(&g));

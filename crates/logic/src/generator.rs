@@ -109,7 +109,7 @@ impl FormulaGenerator {
     }
 
     /// Generates a formula with exactly one free variable (variable 0).
-    pub fn node_formula(&mut self) -> Formula {
+    fn node_formula(&mut self) -> Formula {
         loop {
             let mut f = self.formula(self.config.max_rank, 0);
             for v in f.free_variables() {

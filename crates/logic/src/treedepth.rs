@@ -129,70 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn treedepth_bounds_treewidth() {
-        // tw(G) ≤ td(G) − 1 always.
-        for g in x2v_graph::enumerate::all_connected_graphs(5) {
-            let td = treedepth(&g);
-            let (tw, _) = x2v_hom_stub::exact_treewidth_stub(&g);
-            assert!(tw < td, "{g:?}: tw={tw}, td={td}");
-        }
-    }
-
-    // Local re-implementation wrapper to avoid a cyclic dev-dependency on
-    // x2v-hom: greedy upper bound suffices for the inequality direction we
-    // test (an upper bound on tw makes the assertion weaker, so compute the
-    // exact value by brute force over elimination orders for n ≤ 5).
-    mod x2v_hom_stub {
-        use x2v_graph::Graph;
-
-        pub fn exact_treewidth_stub(g: &Graph) -> (usize, ()) {
-            let n = g.order();
-            let mut best = usize::MAX;
-            let mut perm: Vec<usize> = (0..n).collect();
-            permute_all(&mut perm, 0, g, &mut best);
-            (best, ())
-        }
-
-        fn permute_all(perm: &mut Vec<usize>, k: usize, g: &Graph, best: &mut usize) {
-            if k == perm.len() {
-                *best = (*best).min(width_of_order(g, perm));
-                return;
-            }
-            for i in k..perm.len() {
-                perm.swap(k, i);
-                permute_all(perm, k + 1, g, best);
-                perm.swap(k, i);
-            }
-        }
-
-        fn width_of_order(g: &Graph, order: &[usize]) -> usize {
-            // Simulate elimination with fill-in on a dense bool matrix.
-            let n = g.order();
-            let mut adj = vec![false; n * n];
-            for (u, v) in g.edges() {
-                adj[u * n + v] = true;
-                adj[v * n + u] = true;
-            }
-            let mut eliminated = vec![false; n];
-            let mut width = 0;
-            for &v in order {
-                let nbrs: Vec<usize> = (0..n)
-                    .filter(|&w| !eliminated[w] && w != v && adj[v * n + w])
-                    .collect();
-                width = width.max(nbrs.len());
-                for (i, &a) in nbrs.iter().enumerate() {
-                    for &b in nbrs.iter().skip(i + 1) {
-                        adj[a * n + b] = true;
-                        adj[b * n + a] = true;
-                    }
-                }
-                eliminated[v] = true;
-            }
-            width
-        }
-    }
-
-    #[test]
     fn class_enumeration() {
         // TD_1: only the single vertex. TD_2: stars (P1, P2, P3=S2, stars).
         let td1 = treedepth_class(4, 1);

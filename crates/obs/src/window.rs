@@ -144,11 +144,6 @@ impl Window {
         }
     }
 
-    /// The configured maximum window span in seconds.
-    pub fn span_s(&self) -> u64 {
-        self.span_s
-    }
-
     fn now_sec(&self) -> u64 {
         self.epoch.elapsed().as_secs()
     }
@@ -220,7 +215,7 @@ impl Window {
     }
 
     /// [`Window::merged`] with an explicit second index.
-    pub fn merged_at(&self, window_s: u64, now_sec: u64) -> WindowSnapshot {
+    fn merged_at(&self, window_s: u64, now_sec: u64) -> WindowSnapshot {
         let window_s = window_s.clamp(1, self.span_s);
         let mut inner = self.lock();
         Self::rotate_to(&mut inner, now_sec);
@@ -410,8 +405,8 @@ mod tests {
 
     #[test]
     fn env_span_parsing_clamps() {
-        assert_eq!(Window::with_span(0).span_s(), 1);
-        assert_eq!(Window::with_span(10_000).span_s(), MAX_WINDOW_S);
-        assert_eq!(Window::with_span(60).span_s(), 60);
+        assert_eq!(Window::with_span(0).span_s, 1);
+        assert_eq!(Window::with_span(10_000).span_s, MAX_WINDOW_S);
+        assert_eq!(Window::with_span(60).span_s, 60);
     }
 }

@@ -144,9 +144,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// `COUNTING` is process-global: the tests that flip it take turns.
+    static COUNTING_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        COUNTING_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn counting_observes_a_vec_allocation() {
+        let _serial = serial();
         set_alloc_counting(true);
         let before = alloc_snapshot();
         let (t_bytes0, t_allocs0) = thread_alloc_totals();
@@ -171,13 +180,12 @@ mod tests {
 
     #[test]
     fn disabled_counting_is_inert() {
+        let _serial = serial();
         set_alloc_counting(false);
         let before = alloc_snapshot();
         let _v: Vec<u64> = vec![0; 512];
-        // Other tests may race counting on; only assert when it stayed off.
-        if !alloc_counting_enabled() {
-            let after = alloc_snapshot();
-            assert_eq!(before.allocs, after.allocs);
-        }
+        assert!(!alloc_counting_enabled());
+        let after = alloc_snapshot();
+        assert_eq!(before.allocs, after.allocs);
     }
 }

@@ -219,14 +219,9 @@ pub fn write_response(
 }
 
 /// Writes the typed error as its mapped status with a JSON body
-/// `{"error": ..., "status": ..., "retryable": ...}`.
-pub fn write_error(stream: &mut impl Write, err: &ServeError) -> io::Result<()> {
-    write_error_with_id(stream, err, None)
-}
-
-/// [`write_error`] with the request id included in the body
-/// (`"request_id": N`), so a client-side failure report can be joined with
-/// the server's access log.
+/// `{"error": ..., "status": ..., "retryable": ...}`, led by the request id
+/// (`"request_id": N`) when one is given, so a client-side failure report
+/// can be joined with the server's access log.
 pub fn write_error_with_id(
     stream: &mut impl Write,
     err: &ServeError,
@@ -320,7 +315,7 @@ mod tests {
     #[test]
     fn error_responses_are_well_formed() {
         let mut out = Vec::new();
-        write_error(&mut out, &ServeError::Overloaded).unwrap();
+        write_error_with_id(&mut out, &ServeError::Overloaded, None).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 0\r\n"));

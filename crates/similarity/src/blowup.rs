@@ -21,7 +21,7 @@ pub fn lcm(a: usize, b: usize) -> usize {
 }
 
 /// Blows both graphs up to order `lcm(|G|, |H|)`.
-pub fn blow_up_to_common(g: &Graph, h: &Graph) -> (Graph, Graph) {
+fn blow_up_to_common(g: &Graph, h: &Graph) -> (Graph, Graph) {
     let target = lcm(g.order().max(1), h.order().max(1));
     (
         blow_up(g, target / g.order()),

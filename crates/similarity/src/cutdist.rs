@@ -5,8 +5,6 @@
 
 use crate::matrix_dist::{dist_exact, GraphNorm};
 use x2v_graph::Graph;
-use x2v_linalg::norms::{cut_norm_exact, cut_norm_local_search};
-use x2v_linalg::Matrix;
 
 /// Exact cut distance (small graphs: permutation enumeration × exact cut
 /// norm).
@@ -14,53 +12,10 @@ pub fn cut_distance_exact(g: &Graph, h: &Graph) -> f64 {
     dist_exact(g, h, GraphNorm::Cut)
 }
 
-/// Heuristic cut distance for larger graphs: greedy degree-ordered
-/// alignment, then local-search cut norm of the difference. An upper bound
-/// on the aligned cut norm and a practical proxy for `dist_□`.
-pub fn cut_distance_greedy(g: &Graph, h: &Graph) -> f64 {
-    assert_eq!(g.order(), h.order(), "equal orders required");
-    let n = g.order();
-    // Align by sorted degree, ties by neighbour-degree sums.
-    let key = |gr: &Graph, v: usize| {
-        let nd: usize = gr.neighbours(v).iter().map(|&w| gr.degree(w)).sum();
-        (gr.degree(v), nd)
-    };
-    let mut gv: Vec<usize> = (0..n).collect();
-    let mut hv: Vec<usize> = (0..n).collect();
-    gv.sort_by_key(|&v| key(g, v));
-    hv.sort_by_key(|&v| key(h, v));
-    // map g-node gv[i] → h-node hv[i].
-    let mut diff = Matrix::zeros(n, n);
-    let mut perm = vec![0usize; n];
-    for i in 0..n {
-        perm[gv[i]] = hv[i];
-    }
-    for u in 0..n {
-        for v in 0..n {
-            let a = f64::from(g.has_edge(u, v));
-            let b = f64::from(h.has_edge(perm[u], perm[v]));
-            diff[(perm[u], perm[v])] = a - b;
-        }
-    }
-    if n <= 20 {
-        cut_norm_exact(&diff)
-    } else {
-        cut_norm_local_search(&diff)
-    }
-}
-
-/// Normalised cut distance `dist_□ / n²` (the graphon scaling).
-pub fn cut_distance_normalised(g: &Graph, h: &Graph) -> f64 {
-    let n = g.order() as f64;
-    cut_distance_exact(g, h) / (n * n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use x2v_graph::generators::{complete, cycle, gnp, path};
+    use x2v_graph::generators::{complete, cycle, path};
     use x2v_graph::ops::permute;
 
     #[test]
@@ -76,7 +31,6 @@ mod tests {
         let e = x2v_graph::Graph::empty(5);
         // All 20 ordered non-diagonal pairs differ; best S=T=V gives 20.
         assert_eq!(cut_distance_exact(&k, &e), 20.0);
-        assert!((cut_distance_normalised(&k, &e) - 0.8).abs() < 1e-9);
     }
 
     #[test]
@@ -87,17 +41,5 @@ mod tests {
         let l1 = dist_exact(&a, &b, GraphNorm::Entrywise(1.0));
         assert!(cut <= l1 + 1e-9);
         assert!(cut > 0.0);
-    }
-
-    #[test]
-    fn greedy_upper_bounds_exact() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..4 {
-            let g = gnp(7, 0.4, &mut rng);
-            let h = gnp(7, 0.4, &mut rng);
-            let exact = cut_distance_exact(&g, &h);
-            let greedy = cut_distance_greedy(&g, &h);
-            assert!(greedy >= exact - 1e-9, "greedy {greedy} < exact {exact}");
-        }
     }
 }

@@ -7,7 +7,6 @@
 //! graphs were refined through a shared interner — and the discounted
 //! variant weights round `i` by `2^{-i}`.
 
-use crate::interner::Colour;
 use crate::refine::Refiner;
 use x2v_graph::Graph;
 
@@ -38,7 +37,7 @@ pub struct SparseWlFeatures {
 impl SparseWlFeatures {
     /// Builds from per-round colour slices (`rounds[i][v]` = colour of node
     /// `v` at round `i`), as recorded by [`crate::WlHistory`].
-    pub fn from_colour_rounds(rounds: &[Vec<u64>]) -> Self {
+    fn from_colour_rounds(rounds: &[Vec<u64>]) -> Self {
         let mut f = SparseWlFeatures {
             round_offsets: Vec::with_capacity(rounds.len() + 1),
             keys: Vec::new(),
@@ -111,7 +110,7 @@ impl SparseWlFeatures {
     }
 
     /// Generic per-round weighting via a sorted merge-join per round.
-    pub fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &SparseWlFeatures, w: W) -> f64 {
+    fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &SparseWlFeatures, w: W) -> f64 {
         let rounds = self.num_rounds().min(other.num_rounds());
         let mut total = 0.0;
         for i in 0..rounds {
@@ -133,18 +132,6 @@ impl SparseWlFeatures {
             total += w(i) * round_sum;
         }
         total
-    }
-
-    /// Flattens into `(round, colour, count)` triples, sorted.
-    pub fn to_sparse(&self) -> Vec<(usize, Colour, u64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for i in 0..self.num_rounds() {
-            let (keys, counts) = self.round(i);
-            for (&c, &n) in keys.iter().zip(counts) {
-                out.push((i, c, n));
-            }
-        }
-        out
     }
 }
 
@@ -210,7 +197,6 @@ mod tests {
     fn nnz_and_sparse_roundtrip() {
         let fs = dataset_sparse_features(&[path(4)], 2);
         let f = &fs[0];
-        assert_eq!(f.nnz(), f.to_sparse().len());
         // P4 round 0: 1 colour; round 1: 2 colours; round 2: 2 colours.
         assert_eq!(f.nnz(), 5);
     }

@@ -244,7 +244,7 @@ impl KwlRefiner {
     ///
     /// # Errors
     /// As for [`KwlRefiner::try_run`].
-    pub fn try_run_rounds(
+    fn try_run_rounds(
         &mut self,
         g: &Graph,
         rounds: usize,
@@ -280,7 +280,7 @@ impl KwlRefiner {
     ///
     /// # Errors
     /// As for [`KwlRefiner::try_run`].
-    pub fn try_distinguishes(
+    fn try_distinguishes(
         &mut self,
         g: &Graph,
         h: &Graph,

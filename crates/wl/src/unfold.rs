@@ -71,7 +71,7 @@ pub fn unfolding_tree(interner: &ColourInterner, colour: Colour) -> RootedTree {
 
 /// Whether two rooted labelled trees are isomorphic as rooted trees (roots
 /// must map to each other).
-pub fn rooted_trees_isomorphic(a: &RootedTree, b: &RootedTree) -> bool {
+fn rooted_trees_isomorphic(a: &RootedTree, b: &RootedTree) -> bool {
     fn encode(g: &Graph, v: usize, parent: usize) -> String {
         let mut kids: Vec<String> = g
             .neighbours(v)

@@ -111,3 +111,14 @@ fn enumerated_trees_count_consistently() {
         assert_eq!(decomp, brute);
     }
 }
+
+/// `tw(G) ≤ td(G) − 1` on every connected graph of order 5: the exact
+/// treewidth solver of x2v-hom against the treedepth of x2v-logic.
+#[test]
+fn treedepth_bounds_treewidth() {
+    for g in all_connected_graphs(5) {
+        let td = x2vec_suite::logic::treedepth::treedepth(&g);
+        let (tw, _) = x2vec_suite::hom::treewidth::exact_treewidth(&g);
+        assert!(tw < td, "{g:?}: tw={tw}, td={td}");
+    }
+}
