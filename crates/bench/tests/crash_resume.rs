@@ -140,8 +140,8 @@ fn report_write_failure_exits_nonzero_without_partial_file() {
 }
 
 /// `bench_suite` only measures: run under `X2V_CKPT_DIR` and
-/// `X2V_RESUME=1`, it must neither save nor restore a checkpoint (no job
-/// directory appears in the store), and every workload must compute what
+/// `X2V_RESUME=1`, it must neither save nor restore a checkpoint (no store
+/// directory is created), and every workload must compute what
 /// a plain run computes. The retired `--resume` / `--ckpt-dir` flags are
 /// usage errors.
 #[test]
@@ -183,16 +183,6 @@ fn bench_suite_never_checkpoints_even_with_a_store_in_the_env() {
     );
     assert!(ok, "the suite run with a store in the env must succeed");
     assert!(!ckpt.exists(), "the suite must not even open the store");
-
-    let jobs: Vec<_> = std::fs::read_dir(&ckpt)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .map(|e| e.file_name())
-                .collect()
-        })
-        .unwrap_or_default();
-    assert!(jobs.is_empty(), "the suite wrote checkpoint jobs {jobs:?}");
     assert_eq!(
         work_of(&env_out),
         work_of(&plain_out),
@@ -212,6 +202,5 @@ fn bench_suite_never_checkpoints_even_with_a_store_in_the_env() {
         assert_eq!(status.code(), Some(2), "{flags:?} must be a usage error");
     }
 
-    let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -31,7 +31,7 @@ use crate::frame;
 /// How many generations [`Store::save`] retains per job before pruning the
 /// oldest. Two or more, so the newest generation being corrupt never strands
 /// the job: the previous one is still on disk.
-pub const DEFAULT_RETENTION: usize = 3;
+const RETENTION: usize = 3;
 
 /// File extension of named frames (see [`Store::claim_named`]); distinct
 /// from `.ckpt` so the generation scan never confuses the two.
@@ -48,7 +48,7 @@ pub struct Store {
 
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`, retaining
-    /// [`DEFAULT_RETENTION`] generations per job.
+    /// the newest `RETENTION` generations per job.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, GuardError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| {
@@ -413,7 +413,7 @@ impl Store {
     /// Removes generations older than the retention window ending at
     /// `newest`.
     fn prune(&self, dir: &Path, newest: u64) -> Result<(), GuardError> {
-        let cutoff = newest.saturating_sub(DEFAULT_RETENTION as u64 - 1);
+        let cutoff = newest.saturating_sub(RETENTION as u64 - 1);
         for (generation, path) in self.generations(dir)? {
             if generation < cutoff {
                 // Best-effort: a prune failure must not fail the save that

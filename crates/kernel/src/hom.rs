@@ -44,7 +44,21 @@ impl GraphKernel for LogHomKernel {
 mod tests {
     use super::*;
     use crate::gram::is_psd;
-    use x2v_graph::generators::{cycle, path, star};
+    use x2v_graph::generators::{cycle, path, petersen, star};
+    use x2v_linalg::Matrix;
+
+    #[test]
+    fn hom_kernel_psd() {
+        let basis = HomBasis::trees_and_cycles(10);
+        let graphs = [cycle(5), path(5), star(4), petersen()];
+        let mut gram = Matrix::zeros(graphs.len(), graphs.len());
+        for (i, g) in graphs.iter().enumerate() {
+            for (j, h) in graphs.iter().enumerate() {
+                gram[(i, j)] = basis.kernel(g, h);
+            }
+        }
+        assert!(is_psd(&gram, 1e-6));
+    }
 
     #[test]
     fn log_kernel_psd_and_batch_consistent() {

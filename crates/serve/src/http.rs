@@ -219,20 +219,15 @@ pub fn write_response(
 }
 
 /// Writes the typed error as its mapped status with a JSON body
-/// `{"error": ..., "status": ..., "retryable": ...}`, led by the request id
-/// (`"request_id": N`) when one is given, so a client-side failure report
-/// can be joined with the server's access log.
+/// `{"request_id": N, "error": ..., "status": ..., "retryable": ...}`, so a
+/// client-side failure report can be joined with the server's access log.
 pub fn write_error_with_id(
     stream: &mut impl Write,
     err: &ServeError,
-    request_id: Option<u64>,
+    request_id: u64,
 ) -> io::Result<()> {
-    let id_field = match request_id {
-        Some(id) => format!("\"request_id\": {id}, "),
-        None => String::new(),
-    };
     let body = format!(
-        "{{{id_field}\"error\": \"{}\", \"status\": {}, \"retryable\": {}}}",
+        "{{\"request_id\": {request_id}, \"error\": \"{}\", \"status\": {}, \"retryable\": {}}}",
         x2v_obs::json_escape(&err.to_string()),
         err.status(),
         err.retryable()
@@ -315,12 +310,11 @@ mod tests {
     #[test]
     fn error_responses_are_well_formed() {
         let mut out = Vec::new();
-        write_error_with_id(&mut out, &ServeError::Overloaded, None).unwrap();
+        write_error_with_id(&mut out, &ServeError::Overloaded, 7).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 0\r\n"));
         assert!(text.contains("\"retryable\": true"));
-        assert!(!text.contains("request_id"));
         let body = text.split("\r\n\r\n").nth(1).unwrap();
         let declared: usize = text
             .lines()
@@ -335,7 +329,7 @@ mod tests {
     #[test]
     fn error_bodies_can_carry_the_request_id() {
         let mut out = Vec::new();
-        write_error_with_id(&mut out, &ServeError::Overloaded, Some(42)).unwrap();
+        write_error_with_id(&mut out, &ServeError::Overloaded, 42).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"request_id\": 42, \"error\""), "{text}");
     }

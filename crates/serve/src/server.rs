@@ -387,7 +387,7 @@ fn shed(conn: Conn, shared: &Shared) {
     let timeout = Duration::from_millis(shared.config.io_timeout_ms.clamp(1, 100));
     let _ = stream.set_write_timeout(Some(timeout));
     let err = ServeError::Overloaded;
-    let _ = http::write_error_with_id(&mut stream, &err, Some(id));
+    let _ = http::write_error_with_id(&mut stream, &err, id);
     if shared.config.access_log {
         AccessRecord {
             id,
@@ -534,7 +534,7 @@ fn respond_error(
     };
     let timeout = Duration::from_millis(shared.config.io_timeout_ms.clamp(1, 500));
     let _ = stream.set_write_timeout(Some(timeout));
-    if http::write_error_with_id(stream, err, Some(id)).is_err() {
+    if http::write_error_with_id(stream, err, id).is_err() {
         x2v_obs::windowed_counter_add(keys::SERVE_CONN_DROPPED, 1);
     }
     if shared.config.access_log {
