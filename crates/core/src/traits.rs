@@ -78,7 +78,11 @@ pub trait GraphKernel {
     }
 }
 
-/// Every explicit embedding induces a kernel: `K(G, H) = ⟨f(G), f(H)⟩`.
+/// The kernel an explicit embedding `f` induces: `K(G, H) = ⟨f(G), f(H)⟩`.
+///
+/// Every vector embedding yields a kernel this way, which is the survey's
+/// bridge from embeddings to kernel methods. Its own test asserts that it
+/// is the dot product of the two embeddings.
 pub struct EmbeddingKernel<E: GraphEmbedding>(pub E);
 
 impl<E: GraphEmbedding> GraphKernel for EmbeddingKernel<E> {

@@ -167,7 +167,7 @@ fn biased_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use x2v_graph::generators::{cycle, path, star};
+    use x2v_graph::generators::{cycle, karate_club, path, sbm, star};
     use x2v_graph::ops::disjoint_union;
 
     #[test]
@@ -237,5 +237,104 @@ mod tests {
         let g = cycle(5);
         let cfg = WalkConfig::default();
         assert_eq!(generate_walks(&g, &cfg), generate_walks(&g, &cfg));
+    }
+
+    /// Upper `1 − 1e-6` quantile of chi-square with `df` degrees of
+    /// freedom, by the Wilson–Hilferty cube approximation (conservative at
+    /// `df = 1`: 27.5 against the exact 23.9).
+    fn chi_square_critical(df: usize) -> f64 {
+        const Z: f64 = 4.753_424; // standard normal quantile at 1 − 1e-6
+        let k = df as f64;
+        let h = 2.0 / (9.0 * k);
+        k * (1.0 - h + Z * h.sqrt()).powi(3)
+    }
+
+    /// Tallies every second-order step `(t → v) → x` of `corpus` and tests
+    /// each edge state against node2vec's exact law `α_pq(t, x)/Z` over
+    /// `x ∈ N(v)` (`α` is `1/p` for `x = t`, `1` for `x ~ t`, `1/q`
+    /// otherwise) with a chi-square test at level 1e-6 per state. States
+    /// whose smallest expected count is below 5 are skipped. Returns
+    /// `(states tested, states rejected)`.
+    fn law_rejections(g: &Graph, corpus: &[Vec<usize>], p: f64, q: f64) -> (usize, usize) {
+        let mut tally: std::collections::BTreeMap<(usize, usize), Vec<u64>> = Default::default();
+        for walk in corpus {
+            for w in walk.windows(3) {
+                let (t, v, x) = (w[0], w[1], w[2]);
+                let nbrs = g.neighbours(v);
+                let counts = tally.entry((t, v)).or_insert_with(|| vec![0; nbrs.len()]);
+                counts[nbrs.binary_search(&x).expect("x adjacent to v")] += 1;
+            }
+        }
+        let (mut tested, mut rejected) = (0, 0);
+        for (&(t, v), counts) in &tally {
+            let alpha: Vec<f64> = g
+                .neighbours(v)
+                .iter()
+                .map(|&x| {
+                    if x == t {
+                        1.0 / p
+                    } else if g.has_edge(t, x) {
+                        1.0
+                    } else {
+                        1.0 / q
+                    }
+                })
+                .collect();
+            let z: f64 = alpha.iter().sum();
+            let n = counts.iter().sum::<u64>() as f64;
+            let expected: Vec<f64> = alpha.iter().map(|a| n * a / z).collect();
+            if counts.len() < 2 || expected.iter().any(|&e| e < 5.0) {
+                continue;
+            }
+            let chi2: f64 = counts
+                .iter()
+                .zip(&expected)
+                .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+                .sum();
+            tested += 1;
+            rejected += usize::from(chi2 > chi_square_critical(counts.len() - 1));
+        }
+        (tested, rejected)
+    }
+
+    /// The walker's next steps follow node2vec's exact second-order law on
+    /// karate and a small SBM, unbiased and at p = 0.25, q = 4 (fixed
+    /// seeds, so pass or fail is deterministic). A walker with p and q
+    /// swapped fails the same test.
+    #[test]
+    fn biased_steps_follow_the_exact_law() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let graphs = [
+            ("karate", karate_club()),
+            ("sbm", sbm(&[10, 10, 10], 0.4, 0.05, &mut rng)),
+        ];
+        let run = |p: f64, q: f64| WalkConfig {
+            walks_per_node: 100,
+            walk_length: 60,
+            p,
+            q,
+            seed: 31,
+        };
+        for (name, g) in &graphs {
+            for (p, q) in [(1.0, 1.0), (0.25, 4.0)] {
+                let corpus = generate_walks(g, &run(p, q));
+                let (tested, rejected) = law_rejections(g, &corpus, p, q);
+                assert!(
+                    tested * 4 >= 2 * g.size() * 3,
+                    "{name} p={p} q={q}: only {tested} of {} states tested",
+                    2 * g.size()
+                );
+                assert_eq!(
+                    rejected, 0,
+                    "{name} p={p} q={q}: {rejected} of {tested} states rejected"
+                );
+            }
+            let swapped = generate_walks(g, &run(4.0, 0.25));
+            let (tested, rejected) = law_rejections(g, &swapped, 0.25, 4.0);
+            assert!(
+                rejected * 2 > tested,
+                "{name}: p/q swap rejected in only {rejected} of {tested} states"
+            );
+        }
     }
 }

@@ -4,12 +4,18 @@
 //! (centre, context) pair within the window the model maximises
 //! `log σ(w·c) + Σ_neg log σ(−w·c_neg)` by SGD; negatives are drawn from
 //! the unigram distribution raised to `3/4` via an alias table.
+//!
+//! One SGD step per pair is one pass per target (`sgns_step`): the
+//! negatives are drawn first, the `1 + negative` dots are taken as
+//! interleaved independent accumulators, and each target then makes one
+//! fused sweep `grad += g·out; out += g·in` before the step ends with
+//! `in += grad`. Every result has the bits of the sequential per-target
+//! loop (kept as the test oracle), at every thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use x2v_ckpt::codec::{Dec, Enc};
 use x2v_ckpt::crc32::Crc32;
-use x2v_linalg::chunked::axpy_f64;
 use x2v_linalg::sampling::AliasTable;
 use x2v_linalg::vector::sigmoid;
 
@@ -131,13 +137,131 @@ fn config_fingerprint(
     c.finish()
 }
 
-/// Sequential in-order dot product for the SGNS inner loop. The summation
-/// order here is part of the fixed-seed model-bit contract (resume goldens,
-/// downstream embedding-quality seeds), so this must not be swapped for a
-/// lane-chunked reduction, which would reorder the additions.
+/// Sequential in-order dot product. Its summation order (from `-0.0`, in
+/// index order) is part of the fixed-seed model-bit contract (resume
+/// goldens, downstream embedding-quality seeds): [`target_dots`] keeps it
+/// per accumulator, and a lane-chunked reduction, which reorders the
+/// additions, must not replace it.
 #[inline]
 fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// One output row an SGNS step trains the centre row against.
+#[derive(Clone, Copy, Debug)]
+struct Target {
+    /// Offset `token · dim` of the row in the output matrix.
+    row: usize,
+    /// `in_row · out[row]` at the start of the step.
+    dot: f64,
+    /// An earlier target of the same step has this row, so its dot must
+    /// be taken after that target's update.
+    repeat: bool,
+}
+
+/// Fills `targets` for one (centre, context) pair: the context first
+/// (label 1), then each drawn negative (label 0) in draw order. A negative
+/// equal to the context is skipped, not redrawn.
+fn push_targets(
+    targets: &mut Vec<Target>,
+    dim: usize,
+    context: usize,
+    negatives: impl Iterator<Item = usize>,
+) {
+    targets.clear();
+    targets.push(Target {
+        row: context * dim,
+        dot: 0.0,
+        repeat: false,
+    });
+    for neg in negatives {
+        if neg == context {
+            continue;
+        }
+        let row = neg * dim;
+        let repeat = targets.iter().any(|t| t.row == row);
+        targets.push(Target {
+            row,
+            dot: 0.0,
+            repeat,
+        });
+    }
+}
+
+/// Dots of `x` with `N` rows as `N` interleaved accumulators. Each one
+/// sums in [`dot_seq`]'s order, so each result has its bits; the chains
+/// are independent, so they overlap instead of waiting on each other.
+#[inline]
+fn dots<const N: usize>(x: &[f64], rows: [&[f64]; N]) -> [f64; N] {
+    let rows = rows.map(|r| &r[..x.len()]);
+    let mut acc = [-0.0f64; N];
+    for (d, &xd) in x.iter().enumerate() {
+        for j in 0..N {
+            acc[j] += xd * rows[j][d];
+        }
+    }
+    acc
+}
+
+/// Sets every target's `dot` to `x · out[row]`, four rows at a time.
+/// A repeated row's dot is taken too, and [`sgns_step`] retakes it.
+fn target_dots(x: &[f64], out: &[f64], targets: &mut [Target]) {
+    let dim = x.len();
+    let row = |t: &Target| &out[t.row..t.row + dim];
+    for group in targets.chunks_mut(4) {
+        match group {
+            [a, b, c, d] => {
+                let [da, db, dc, dd] = dots(x, [row(a), row(b), row(c), row(d)]);
+                (a.dot, b.dot, c.dot, d.dot) = (da, db, dc, dd);
+            }
+            [a, b, c] => [a.dot, b.dot, c.dot] = dots(x, [row(a), row(b), row(c)]),
+            [a, b] => [a.dot, b.dot] = dots(x, [row(a), row(b)]),
+            [a] => [a.dot] = dots(x, [row(a)]),
+            _ => unreachable!("chunks of at most four"),
+        }
+    }
+}
+
+/// One SGD step of the centre row `in_row` against `targets`: the context
+/// (`targets[0]`, label 1) and its negatives (label 0).
+///
+/// All dots are taken first, interleaved ([`target_dots`]); the input row
+/// does not change until the end of the step, and each output row changes
+/// only at its own update, so these equal the dots a per-target loop takes,
+/// except for a repeated row, whose dot is retaken after the earlier
+/// update. Then each target makes one pass `grad += g·out; out += g·in`
+/// against the pre-update output element, and the step ends with
+/// `in += grad`. Every trained bit equals the per-target loop's.
+fn sgns_step(
+    in_row: &mut [f64],
+    out: &mut [f64],
+    targets: &mut [Target],
+    lr: f64,
+    grad: &mut [f64],
+) {
+    let dim = in_row.len();
+    target_dots(in_row, out, targets);
+    grad.fill(0.0);
+    for (j, t) in targets.iter().enumerate() {
+        let out_row = &mut out[t.row..t.row + dim];
+        let dot = if t.repeat {
+            dot_seq(in_row, out_row)
+        } else {
+            t.dot
+        };
+        let g = if j == 0 {
+            (1.0 - sigmoid(dot)) * lr
+        } else {
+            -sigmoid(dot) * lr
+        };
+        for ((gd, od), &xd) in grad.iter_mut().zip(out_row.iter_mut()).zip(in_row.iter()) {
+            *gd += g * *od;
+            *od += g * xd;
+        }
+    }
+    for (xd, gd) in in_row.iter_mut().zip(grad.iter()) {
+        *xd += gd;
+    }
 }
 
 impl Word2Vec {
@@ -295,6 +419,7 @@ impl Word2Vec {
                 let mut local_in = input.clone();
                 let mut local_out = output.clone();
                 let mut grad = vec![0.0f64; dim];
+                let mut targets = Vec::with_capacity(config.negative + 1);
                 let mut draws = 0u64;
                 let mut step = step + prefix[range.start];
                 for sentence in &corpus[range] {
@@ -312,46 +437,20 @@ impl Word2Vec {
                                 continue;
                             }
                             let context = sentence[ctx_pos];
-                            grad.iter_mut().for_each(|g| *g = 0.0);
+                            // The draws do not depend on the vectors, so
+                            // drawing them all before the step consumes the
+                            // RNG stream exactly as a per-target loop does.
+                            let drawn = (0..config.negative).map(|_| negatives.sample(&mut rng));
+                            push_targets(&mut targets, dim, context, drawn);
+                            draws += config.negative as u64;
                             let wrow = centre * dim;
-                            // Positive pair. The two rank-1 updates run on
-                            // the chunked `x2v-linalg` axpy (element-wise,
-                            // so bit-identical to the scalar loop); the
-                            // gradient axpy against the *pre-update* output
-                            // row comes first. The dot stays a sequential
-                            // sum: a lane-chunked reduction would reorder
-                            // the additions and shift every trained model's
-                            // bits, breaking the fixed-seed training
-                            // contract downstream tests pin.
-                            {
-                                let crow = context * dim;
-                                let dot = dot_seq(
-                                    &local_in[wrow..wrow + dim],
-                                    &local_out[crow..crow + dim],
-                                );
-                                let g = (1.0 - sigmoid(dot)) * lr;
-                                axpy_f64(g, &local_out[crow..crow + dim], &mut grad);
-                                let in_row = &local_in[wrow..wrow + dim];
-                                axpy_f64(g, in_row, &mut local_out[crow..crow + dim]);
-                            }
-                            // Negative pairs.
-                            for _ in 0..config.negative {
-                                draws += 1;
-                                let neg = negatives.sample(&mut rng);
-                                if neg == context {
-                                    continue;
-                                }
-                                let crow = neg * dim;
-                                let dot = dot_seq(
-                                    &local_in[wrow..wrow + dim],
-                                    &local_out[crow..crow + dim],
-                                );
-                                let g = -sigmoid(dot) * lr;
-                                axpy_f64(g, &local_out[crow..crow + dim], &mut grad);
-                                let in_row = &local_in[wrow..wrow + dim];
-                                axpy_f64(g, in_row, &mut local_out[crow..crow + dim]);
-                            }
-                            axpy_f64(1.0, &grad, &mut local_in[wrow..wrow + dim]);
+                            sgns_step(
+                                &mut local_in[wrow..wrow + dim],
+                                &mut local_out,
+                                &mut targets,
+                                lr,
+                                &mut grad,
+                            );
                         }
                     }
                 }
@@ -551,5 +650,104 @@ mod tests {
     #[should_panic(expected = "out of vocabulary")]
     fn oov_token_rejected() {
         let _ = Word2Vec::train(&[vec![0, 99]], 10, &SgnsConfig::default());
+    }
+
+    /// The SGNS step as a sequential per-target loop, the oracle for
+    /// `sgns_step`: for the context, then each drawn negative that is not
+    /// the context, a sequential dot against the current output row,
+    /// `grad += g·out` against the pre-update row, then `out += g·in`; the
+    /// step ends with `in += 1·grad`.
+    fn step_reference(
+        in_row: &mut [f64],
+        out: &mut [f64],
+        context: usize,
+        draws: &[usize],
+        lr: f64,
+        grad: &mut [f64],
+    ) {
+        fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+            for (yi, xi) in y.iter_mut().zip(x) {
+                *yi += alpha * xi;
+            }
+        }
+        let dim = in_row.len();
+        grad.iter_mut().for_each(|g| *g = 0.0);
+        let rows = std::iter::once((context, true))
+            .chain(draws.iter().filter(|&&n| n != context).map(|&n| (n, false)));
+        for (token, positive) in rows {
+            let crow = token * dim;
+            let dot = dot_seq(in_row, &out[crow..crow + dim]);
+            let g = if positive {
+                (1.0 - sigmoid(dot)) * lr
+            } else {
+                -sigmoid(dot) * lr
+            };
+            axpy(g, &out[crow..crow + dim], grad);
+            axpy(g, in_row, &mut out[crow..crow + dim]);
+        }
+        axpy(1.0, grad, in_row);
+    }
+
+    fn assert_bits(what: &str, seed: u64, a: &[f64], b: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what} differs (case seed {seed})");
+    }
+
+    /// Seeded battery: on random rows and draw lists, `push_targets` +
+    /// `sgns_step` leave `grad`, the whole output matrix and the input row
+    /// bit-identical to the per-target loop. Vocabularies of 2–6 tokens
+    /// make duplicate negatives and negatives equal to the context common;
+    /// both are counted so the battery provably exercises them.
+    #[test]
+    fn step_matches_per_target_loop() {
+        const BASE_SEED: u64 = 0x5_6e5;
+        println!("sgns step battery base seed: {BASE_SEED}");
+        let (mut with_repeat, mut with_context_draw) = (0, 0);
+        let mut case = 0u64;
+        for dim in [1usize, 7, 32, 33] {
+            for negative in [0usize, 1, 5, 9] {
+                for _ in 0..40 {
+                    let seed = BASE_SEED + case;
+                    case += 1;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let vocab = rng.random_range(2..7usize);
+                    let context = rng.random_range(0..vocab);
+                    let draws: Vec<usize> =
+                        (0..negative).map(|_| rng.random_range(0..vocab)).collect();
+                    let lr = rng.random_range(0.01..0.5);
+                    let mut unit = || rng.random_range(-1.0..1.0);
+                    let in0: Vec<f64> = (0..dim).map(|_| unit()).collect();
+                    let out0: Vec<f64> = (0..vocab * dim).map(|_| unit()).collect();
+
+                    let mut targets = Vec::new();
+                    push_targets(&mut targets, dim, context, draws.iter().copied());
+                    with_repeat += usize::from(targets.iter().any(|t| t.repeat));
+                    with_context_draw += usize::from(draws.contains(&context));
+                    let (mut in_new, mut out_new) = (in0.clone(), out0.clone());
+                    let mut grad_new = vec![f64::NAN; dim];
+                    sgns_step(&mut in_new, &mut out_new, &mut targets, lr, &mut grad_new);
+
+                    let (mut in_ref, mut out_ref) = (in0, out0);
+                    let mut grad_ref = vec![f64::NAN; dim];
+                    step_reference(
+                        &mut in_ref,
+                        &mut out_ref,
+                        context,
+                        &draws,
+                        lr,
+                        &mut grad_ref,
+                    );
+
+                    assert_bits("grad", seed, &grad_new, &grad_ref);
+                    assert_bits("output matrix", seed, &out_new, &out_ref);
+                    assert_bits("input row", seed, &in_new, &in_ref);
+                }
+            }
+        }
+        assert!(with_repeat > 50, "{with_repeat} cases repeat a row");
+        assert!(
+            with_context_draw > 50,
+            "{with_context_draw} cases draw the context"
+        );
     }
 }

@@ -19,13 +19,13 @@
 use crate::{Graph, GraphBuilder};
 
 /// A CFI instance over a base graph.
-pub struct CfiBuilder<'a> {
+struct CfiBuilder<'a> {
     base: &'a Graph,
 }
 
 impl<'a> CfiBuilder<'a> {
     /// Prepares the construction over a connected base graph.
-    pub fn new(base: &'a Graph) -> Self {
+    fn new(base: &'a Graph) -> Self {
         assert!(
             crate::dist::is_connected(base),
             "CFI parity argument needs a connected base"
@@ -35,7 +35,7 @@ impl<'a> CfiBuilder<'a> {
 
     /// Builds `CFI(G, T)` where `T` is given as indices into
     /// `base.edge_vec()`.
-    pub fn build(&self, twisted_edges: &[usize]) -> Graph {
+    fn build(&self, twisted_edges: &[usize]) -> Graph {
         let base = self.base;
         let n = base.order();
         let edges = base.edge_vec();

@@ -42,7 +42,6 @@
 
 pub mod assignment;
 pub mod birkhoff;
-pub mod chunked;
 pub mod eigen;
 mod matrix;
 pub mod norms;

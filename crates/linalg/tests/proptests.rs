@@ -95,39 +95,4 @@ proptest! {
         prop_assert!(cut <= entrywise_p(&a, 1.0) + 1e-9);
         prop_assert!(cut_norm_local_search(&a) <= cut + 1e-9);
     }
-
-    #[test]
-    fn chunked_axpy_bit_identical_to_naive(pair in arb_len_pair(), alpha in -3.0f64..3.0) {
-        use x2v_linalg::chunked::axpy_f64;
-        let (x, y0) = pair;
-        let mut chunked = y0.clone();
-        axpy_f64(alpha, &x, &mut chunked);
-        let mut naive = y0;
-        for (yi, xi) in naive.iter_mut().zip(&x) {
-            *yi += alpha * xi;
-        }
-        for (c, n) in chunked.iter().zip(&naive) {
-            prop_assert_eq!(c.to_bits(), n.to_bits());
-        }
-    }
-}
-
-/// Strategy: two equal-length vectors whose lengths cluster around the
-/// chunk-boundary edge cases `{0, 1, LANES−1, LANES, LANES+1}` plus
-/// larger sizes spanning several chunks.
-fn arb_len_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    use x2v_linalg::chunked::LANES;
-    const MAX: usize = 200;
-    (
-        0usize..6,
-        2 * LANES..MAX,
-        proptest::collection::vec(-5.0f64..5.0, MAX),
-        proptest::collection::vec(-5.0f64..5.0, MAX),
-    )
-        .prop_map(|(pick, large, mut a, mut b)| {
-            let n = [0, 1, LANES - 1, LANES, LANES + 1, large][pick];
-            a.truncate(n);
-            b.truncate(n);
-            (a, b)
-        })
 }
