@@ -1,4 +1,4 @@
-//! E12 (Section 3.3, CFI graphs [24]): the WL hierarchy is strict — CFI
+//! E12 (Section 3.3, CFI graphs \[24\]): the WL hierarchy is strict — CFI
 //! pairs over bases of growing treewidth defeat k-WL for growing k, while
 //! remaining genuinely non-isomorphic.
 

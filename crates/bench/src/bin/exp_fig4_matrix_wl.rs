@@ -1,5 +1,5 @@
 //! E3 (Figure 4): matrix WL — the stable colouring of a matrix via its
-//! weighted bipartite graph, plus the [44]-style dimension reduction.
+//! weighted bipartite graph, plus the \[44\]-style dimension reduction.
 
 use x2v_bench::harness::{print_header, print_row};
 use x2v_linalg::Matrix;

@@ -1,4 +1,4 @@
-//! E13 (Section 3.5, [94]): the kernel-comparison table — WL subtree
+//! E13 (Section 3.5, \[94\]): the kernel-comparison table — WL subtree
 //! kernels at several depths vs shortest-path, graphlet, random-walk and
 //! hom-vector kernels, 5-fold cross-validated SVM accuracy per dataset.
 //!

@@ -1,4 +1,4 @@
-//! E10 (Theorem 3.2, Tinhofer; [57]): fractional isomorphism three ways —
+//! E10 (Theorem 3.2, Tinhofer; \[57\]): fractional isomorphism three ways —
 //! combinatorially (1-WL), by exact rational certificate, and numerically
 //! by Frank-Wolfe minimisation of ‖AX − XB‖_F over the Birkhoff polytope.
 

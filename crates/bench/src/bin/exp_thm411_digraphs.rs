@@ -1,4 +1,4 @@
-//! E22 (Theorem 4.11, Lovász [66]): homomorphism counts from *directed
+//! E22 (Theorem 4.11, Lovász \[66\]): homomorphism counts from *directed
 //! acyclic graphs* determine directed graphs up to isomorphism — checked
 //! exhaustively: for every pair of non-isomorphic digraphs of order ≤ 3
 //! (and a sample at order 4), some DAG of order ≤ 3 separates them.

@@ -1,6 +1,6 @@
 //! E20 (Section 3.2 / Theorem 4.13): weighted 1-WL vs weighted tree
 //! homomorphisms (partition functions) on randomised weighted graphs, plus
-//! the matrix-WL dimension-reduction table of [44].
+//! the matrix-WL dimension-reduction table of \[44\].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -161,12 +161,13 @@ impl Workload for GramWorkload {
         }
         // Upper-triangle entries only: row i contributes n − i values, all
         // among graphs r0.. — the only ones this task prepares.
-        let entry = self.kernel.entries(&self.graphs[r0..]);
-        let mut entries = Vec::with_capacity((r1 - r0) * n);
+        let row_of = self.kernel.rows(&self.graphs[r0..]);
+        let mut entries = vec![0.0; (r0..r1).map(|i| n - i).sum()];
+        let mut at = 0;
         for i in 0..r1 - r0 {
-            for j in i..n - r0 {
-                entries.push(entry(i, j));
-            }
+            let len = n - r0 - i;
+            row_of(i, &mut entries[at..at + len]);
+            at += len;
         }
         let mut e = Enc::new();
         e.f64_slice(&entries);

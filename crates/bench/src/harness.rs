@@ -127,7 +127,7 @@ pub fn embedding_cv_accuracy(
 
 /// Runs an experiment body under an [`ObsRun`](crate::ObsRun) guard and
 /// exits with the workspace-standard exit code for its outcome: 0 on
-/// success, otherwise [`GuardError::exit_code`] (see
+/// success, otherwise [`x2v_guard::GuardError::exit_code`] (see
 /// [`x2v_guard::TRIAGE`]), so scripts and CI can branch on *why* an
 /// `exp_*` binary stopped instead of pattern-matching stderr. The obs
 /// guard drops — writing the run report — before the process exits,

@@ -10,7 +10,7 @@
 //! <root>/<job>/quarantine/gen-000002.ckpt   (if generation 2 failed validation)
 //! ```
 //!
-//! Every file is a [`frame`](crate::frame) (`x2v-ckpt/v1`: magic + kind +
+//! Every file is a [`frame`] (`x2v-ckpt/v1`: magic + kind +
 //! length + CRC32 + payload) written through the site-tagged atomic writer
 //! ([`crate::atomic`]), so a crash at any instant leaves either the
 //! complete previous generation set or the complete new one. On load the

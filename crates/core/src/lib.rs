@@ -44,4 +44,4 @@ pub mod hom_embed;
 pub mod traits;
 pub mod wl_embed;
 
-pub use traits::{GraphEmbedding, GraphKernel, NodeEmbedding};
+pub use traits::{GraphEmbedding, GraphKernel, NodeEmbedding, RowEvaluator};

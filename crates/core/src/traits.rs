@@ -36,42 +36,52 @@ pub trait NodeEmbedding {
     fn dimension(&self) -> usize;
 }
 
+/// The per-dataset row evaluator of [`GraphKernel::rows`]:
+/// `(i, out) ↦ out[k] = K(graphs[i], graphs[i + k])`.
+pub type RowEvaluator<'a> = Box<dyn Fn(usize, &mut [f64]) + Send + Sync + 'a>;
+
 /// A kernel function on graphs (Section 2.4): symmetric and positive
 /// semidefinite, implicitly an inner product of some embedding.
 pub trait GraphKernel {
     /// Evaluates `K(G, H)`.
     fn eval(&self, g: &Graph, h: &Graph) -> f64;
 
-    /// Prepares `graphs` once and returns the evaluator
-    /// `(i, j) ↦ K(graphs[i], graphs[j])` that every Gram builder fills its
-    /// rows from. The default evaluates [`GraphKernel::eval`] pairwise;
-    /// kernels with an explicit feature map override it to extract each
-    /// graph's features once and take dot products. An override must
-    /// return exactly the bits `eval` returns for every pair.
-    fn entries<'a>(
-        &'a self,
-        graphs: &'a [Graph],
-    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a>
+    /// Prepares `graphs` once and returns the row evaluator
+    /// `(i, out) ↦ out[k] = K(graphs[i], graphs[i + k])`, with
+    /// `out.len() == graphs.len() - i`: the upper triangle of row `i`,
+    /// diagonal first. Every Gram builder fills its rows from it.
+    ///
+    /// The default evaluates [`GraphKernel::eval`] pair by pair. Kernels
+    /// with an explicit feature map override it to extract each graph's
+    /// features once and fill a row from them. An override must return
+    /// exactly the bits `eval` returns for every pair: a feature-map row
+    /// is exact when it sums the same products in an order that cannot
+    /// change the result (integer-valued sums below `2^53`) and combines
+    /// them as `eval` does.
+    fn rows<'a>(&'a self, graphs: &'a [Graph]) -> RowEvaluator<'a>
     where
         Self: Sync,
     {
-        Box::new(move |i, j| self.eval(&graphs[i], &graphs[j]))
+        Box::new(move |i, out| {
+            for (o, h) in out.iter_mut().zip(&graphs[i..]) {
+                *o = self.eval(&graphs[i], h);
+            }
+        })
     }
 
-    /// The Gram matrix over a dataset, filled from [`GraphKernel::entries`].
+    /// The Gram matrix over a dataset, filled from [`GraphKernel::rows`].
     /// Row-major, symmetric.
     fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix
     where
         Self: Sync,
     {
-        let entry = self.entries(graphs);
+        let row = self.rows(graphs);
         let n = graphs.len();
         let mut m = x2v_linalg::Matrix::zeros(n, n);
         for i in 0..n {
-            for j in i..n {
-                let v = entry(i, j);
-                m[(i, j)] = v;
-                m[(j, i)] = v;
+            row(i, &mut m.row_mut(i)[i..]);
+            for j in i + 1..n {
+                m[(j, i)] = m[(i, j)];
             }
         }
         m

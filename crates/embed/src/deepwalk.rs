@@ -1,4 +1,4 @@
-//! DeepWalk (Perozzi et al. [87]): uniform random walks + SGNS — node2vec
+//! DeepWalk (Perozzi et al. \[87\]): uniform random walks + SGNS — node2vec
 //! with `p = q = 1`.
 
 use crate::node2vec::{Node2Vec, Node2VecConfig};

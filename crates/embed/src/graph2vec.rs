@@ -1,4 +1,4 @@
-//! graph2vec (Narayanan et al. [80]): transductive whole-graph embeddings
+//! graph2vec (Narayanan et al. \[80\]): transductive whole-graph embeddings
 //! via PV-DBOW over Weisfeiler-Leman subtree "words" (Section 2.5).
 //!
 //! Each graph is a document; its words are the WL colours of its nodes at

@@ -8,7 +8,7 @@
 //!   second-order (p, q)-walks of node2vec;
 //! * [`node2vec`] / [`deepwalk`] — node embeddings from walk corpora
 //!   (Section 2.1), "shallow"/transductive in the paper's taxonomy;
-//! * [`line`] — LINE: first-/second-order proximity trained on edges;
+//! * [`line`](mod@line) — LINE: first-/second-order proximity trained on edges;
 //! * [`spectral`] — the matrix-factorisation embeddings of Section 2.1:
 //!   SVD of the adjacency matrix (first-order proximity), SVD of
 //!   `exp(−c·dist)` similarity, Laplacian eigenmaps, classical MDS — the

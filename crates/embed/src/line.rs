@@ -1,4 +1,4 @@
-//! LINE (Tang et al. [97], Section 2.1): large-scale information network
+//! LINE (Tang et al. \[97\], Section 2.1): large-scale information network
 //! embedding by first- and second-order proximity, trained with negative
 //! sampling directly on edges (no random walks).
 //!

@@ -1,4 +1,4 @@
-//! node2vec (Grover–Leskovec [48]): biased random walks + SGNS.
+//! node2vec (Grover–Leskovec \[48\]): biased random walks + SGNS.
 
 use crate::walks::{generate_walks, WalkConfig};
 use crate::word2vec::{SgnsConfig, Word2Vec};

@@ -1,4 +1,4 @@
-//! RESCAL (Nickel et al. [83]): each relation is a *bilinear form*
+//! RESCAL (Nickel et al. \[83\]): each relation is a *bilinear form*
 //! `β_R(x_h, x_t) = x_hᵀ B_R x_t`, trained so that `β ≈ 1` on facts and
 //! `β ≈ 0` on non-facts — the paper's Section 2.3 multi-relational matrix
 //! factorisation `min Σ_R ‖X B_R Xᵀ − A_R‖`.

@@ -69,7 +69,7 @@ impl NodeEmbedding for ExpDistanceSvd {
     }
 }
 
-/// Laplacian eigenmaps (Belkin–Niyogi [11]): the eigenvectors of the
+/// Laplacian eigenmaps (Belkin–Niyogi \[11\]): the eigenvectors of the
 /// unnormalised Laplacian `L = D − A` for the smallest non-zero
 /// eigenvalues.
 pub struct LaplacianEigenmap {
@@ -107,7 +107,7 @@ impl NodeEmbedding for LaplacianEigenmap {
     }
 }
 
-/// Classical multidimensional scaling (Kruskal [63], Isomap-style when
+/// Classical multidimensional scaling (Kruskal \[63\], Isomap-style when
 /// applied to shortest-path distances): double-centre the squared distance
 /// matrix and factor.
 pub struct ClassicalMds {

@@ -1,4 +1,4 @@
-//! TransE (Bordes et al. [18]): knowledge-graph embeddings where each
+//! TransE (Bordes et al. \[18\]): knowledge-graph embeddings where each
 //! relation acts as a *translation* of the latent space —
 //! `x_head + t_r ≈ x_tail` (the paper's Paris − France ≈ Santiago − Chile
 //! example).

@@ -1,4 +1,4 @@
-//! Skip-gram with negative sampling — word2vec (Mikolov et al., [74]).
+//! Skip-gram with negative sampling — word2vec (Mikolov et al., \[74\]).
 //!
 //! Sentences are sequences of token ids in `0..vocab`. For each
 //! (centre, context) pair within the window the model maximises

@@ -1,6 +1,6 @@
 //! The fleet supervisor: spawn, watch, revoke, respawn, merge.
 //!
-//! [`run_fleet`] drives a [`Workload`](crate::Workload) to completion
+//! [`run_fleet`] drives a [`Workload`] to completion
 //! across N worker subprocesses (or inline, in-process, when `workers <=
 //! 1`), surviving worker SIGKILLs, stalls and corrupt shards. Its loop is
 //! a small state machine over the durable protocol state

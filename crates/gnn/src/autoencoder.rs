@@ -1,4 +1,4 @@
-//! Graph autoencoders (Section 2.5, Kipf–Welling [59]): unsupervised
+//! Graph autoencoders (Section 2.5, Kipf–Welling \[59\]): unsupervised
 //! training of graph/node embeddings by reconstructing the adjacency
 //! structure.
 //!

@@ -1,4 +1,4 @@
-//! Higher-dimensional GNNs (Section 3.6, after Morris et al. [78]): the
+//! Higher-dimensional GNNs (Section 3.6, after Morris et al. \[78\]): the
 //! "fully invariant way to increase the expressiveness of GNNs" — message
 //! passing on *pairs* of vertices instead of vertices.
 //!

@@ -16,7 +16,7 @@
 //!   training for graph- and node-level tasks;
 //! * [`autoencoder`] — graph autoencoders (Section 2.5): unsupervised
 //!   embedding training by adjacency reconstruction;
-//! * [`higher`] — 2-dimensional GNNs on vertex pairs ([78]), the fully
+//! * [`higher`] — 2-dimensional GNNs on vertex pairs (\[78\]), the fully
 //!   invariant route past the 1-WL ceiling;
 //! * [`express`] — the Section 3.6 expressiveness results as executable
 //!   checks: constant-input GNNs cannot separate what 1-WL cannot; random

@@ -1,4 +1,4 @@
-//! The Cai–Fürer–Immerman (CFI) construction (Section 3.3, [24]).
+//! The Cai–Fürer–Immerman (CFI) construction (Section 3.3, \[24\]).
 //!
 //! Given a connected base graph `G`, the construction produces, for each set
 //! `T ⊆ E(G)` of *twisted* edges, a graph `CFI(G, T)`. Its isomorphism type

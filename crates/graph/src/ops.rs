@@ -152,7 +152,7 @@ fn try_induced_subgraph(g: &Graph, nodes: &[usize]) -> Result<Graph> {
 
 /// The `k`-fold blow-up: every node becomes an independent set of `k` copies,
 /// every edge a complete bipartite bundle. Used to compare graphs of
-/// different orders via the least common multiple (Section 5.1, after [67]).
+/// different orders via the least common multiple (Section 5.1, after \[67\]).
 ///
 /// # Panics
 /// If `k == 0` or `g.order() * k` overflows.

@@ -167,7 +167,7 @@ pub struct Meter<'a> {
 impl Meter<'_> {
     /// Records `units` of work and checks the budget. The work-unit limit
     /// is enforced exactly (deterministically); the deadline and the
-    /// cancel token are polled every [`CHECK_INTERVAL`] units.
+    /// cancel token are polled every `CHECK_INTERVAL` (1024) units.
     #[inline]
     pub fn tick(&mut self, units: u64) -> Result<(), GuardError> {
         self.work += units;

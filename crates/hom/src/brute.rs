@@ -499,7 +499,7 @@ mod tests {
 
 /// Counts (not necessarily induced) subgraph copies of `F` in `G`:
 /// `sub(F, G) = emb(F, G) / aut(F)` — the bridge between embedding counts
-/// and homomorphism counts that [30] (Curticapean–Dell–Marx, cited in
+/// and homomorphism counts that \[30\] (Curticapean–Dell–Marx, cited in
 /// Section 4) builds its theory on.
 pub fn sub_count(f: &Graph, g: &Graph) -> u128 {
     let emb = emb_count(f, g);

@@ -48,7 +48,7 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
 }
 
 /// Evaluates every Gram entry with [`GraphKernel::eval`], hiding the
-/// wrapped kernel's [`GraphKernel::entries`] override: the pairwise
+/// wrapped kernel's [`GraphKernel::rows`] override: the pairwise
 /// reference that feature-map Gram builds are checked and benchmarked
 /// against.
 pub struct PairwiseEval<'a, K: ?Sized>(pub &'a K);
@@ -60,11 +60,11 @@ impl<K: GraphKernel + ?Sized> GraphKernel for PairwiseEval<'_, K> {
 }
 
 /// Builds the Gram matrix `K[i][j] = K(graphs[i], graphs[j])` from
-/// [`GraphKernel::entries`] — one preparation pass over the dataset (for a
-/// feature-map kernel, one feature extraction per graph), then one
-/// evaluator call per upper-triangle entry — with row-block checkpoints:
+/// [`GraphKernel::rows`] — one preparation pass over the dataset (for a
+/// feature-map kernel, one feature extraction per graph), then one row
+/// evaluator call per upper-triangle row — with row-block checkpoints:
 /// when an ambient [`x2v_ckpt::Store`] is installed, the partial matrix is
-/// persisted under `job` every [`ROW_BLOCK`] completed outer rows, and —
+/// persisted under `job` every `ROW_BLOCK` (8) completed outer rows, and —
 /// with [`x2v_ckpt::set_resume`] in effect — construction restarts from
 /// the last completed row instead of from scratch. The checkpoint is bound
 /// to every graph's labels and adjacency. The symmetric fill order
@@ -73,8 +73,8 @@ impl<K: GraphKernel + ?Sized> GraphKernel for PairwiseEval<'_, K> {
 ///
 /// Rows within a block are evaluated in parallel (`x2v-par`); the kernel
 /// must therefore be `Sync`. Determinism survives: the row set of each
-/// block is fixed by the checkpoint block boundaries, each row's entries
-/// are computed by a single worker in `j` order, and rows are written
+/// block is fixed by the checkpoint block boundaries, each row is computed
+/// by a single worker in one row evaluator call, and rows are written
 /// back in row order. The preparation pass runs as a fallible `x2v-par`
 /// job too, so a panic anywhere in the build surfaces as a typed error.
 ///
@@ -143,7 +143,7 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
 
     // Preparation may fan out on x2v-par itself; as a one-item fallible
     // job, a worker panic there surfaces as `WorkerPanic`, not a re-panic.
-    let entry = x2v_par::try_map_items(1, 1, |_| Ok(kernel.entries(graphs)))?
+    let row_of = x2v_par::try_map_items(1, 1, |_| Ok(kernel.rows(graphs)))?
         .pop()
         .expect("a one-item job returns one result");
     let budget = x2v_guard::ambient();
@@ -171,7 +171,9 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
         let outcome = x2v_par::try_map_items(cut - block_start, 1, |off| {
             let i = block_start + off;
             budget.poll(BUILD_SITE)?;
-            Ok((i..n).map(|j| entry(i, j)).collect::<Vec<f64>>())
+            let mut row = vec![0.0; n - i];
+            row_of(i, &mut row);
+            Ok(row)
         });
         match outcome {
             Ok(rows) => {

@@ -1,7 +1,7 @@
 //! The log-scaled homomorphism-vector kernel, as a [`GraphKernel`]. The
 //! kernel of eq. (4.1) itself is [`HomBasis::kernel`].
 
-use x2v_core::GraphKernel;
+use x2v_core::{GraphKernel, RowEvaluator};
 use x2v_graph::Graph;
 use x2v_hom::vectors::HomBasis;
 
@@ -31,12 +31,13 @@ impl GraphKernel for LogHomKernel {
     }
 
     /// Embeds every graph once; entries are dots of the embeddings.
-    fn entries<'a>(
-        &'a self,
-        graphs: &'a [Graph],
-    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
+    fn rows<'a>(&'a self, graphs: &'a [Graph]) -> RowEvaluator<'a> {
         let embeds: Vec<Vec<f64>> = graphs.iter().map(|g| self.basis.embed_log(g)).collect();
-        Box::new(move |i, j| x2v_linalg::vector::dot(&embeds[i], &embeds[j]))
+        Box::new(move |i, out| {
+            for (o, e) in out.iter_mut().zip(&embeds[i..]) {
+                *o = x2v_linalg::vector::dot(&embeds[i], e);
+            }
+        })
     }
 }
 

@@ -5,7 +5,7 @@
 //! * [`wl`] — the Weisfeiler-Leman subtree kernel of Shervashidze et al.,
 //!   both the t-round form and the discounted `K_WL` (Section 3.5);
 //! * [`wl2`] — a 2-WL tuple-colour kernel (the higher-dimensional WL
-//!   kernel direction of [76]), strictly more expressive than 1-WL;
+//!   kernel direction of \[76\]), strictly more expressive than 1-WL;
 //! * [`shortest_path`] — the shortest-path kernel;
 //! * [`random_walk`] — the direct-product random-walk kernel (the first
 //!   dedicated graph kernels, Section 2.4);

@@ -1,5 +1,5 @@
 //! Node kernels (Section 2.4's side remark: diffusion kernels on graphs,
-//! Kondor–Lafferty [60] / Smola–Kondor [96]) — positive semidefinite
+//! Kondor–Lafferty \[60\] / Smola–Kondor \[96\]) — positive semidefinite
 //! similarity matrices on the *nodes* of one graph, implicitly embedding
 //! the nodes into a Hilbert space.
 
@@ -34,7 +34,7 @@ pub fn diffusion_kernel(g: &Graph, beta: f64) -> Matrix {
 }
 
 /// The regularised Laplacian node kernel `K = (I + βL)^{−1}`, another
-/// classic from [96]. Computed spectrally.
+/// classic from \[96\]. Computed spectrally.
 pub fn regularised_laplacian_kernel(g: &Graph, beta: f64) -> Matrix {
     assert!(beta >= 0.0, "regularisation must be non-negative");
     let e = sym_eigen(&laplacian(g));

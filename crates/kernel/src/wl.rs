@@ -1,6 +1,6 @@
-//! The Weisfeiler-Leman subtree kernel (Section 3.5, [94]).
+//! The Weisfeiler-Leman subtree kernel (Section 3.5, \[94\]).
 
-use x2v_core::GraphKernel;
+use x2v_core::{GraphKernel, RowEvaluator};
 use x2v_graph::Graph;
 use x2v_wl::features::{dataset_sparse_features, SparseWlFeatures};
 use x2v_wl::Refiner;
@@ -53,11 +53,87 @@ impl WlSubtreeKernel {
         self.discounted
     }
 
-    fn dot(&self, a: &SparseWlFeatures, b: &SparseWlFeatures) -> f64 {
+    /// Round `r`'s weight: `2^{-r}` when discounted, else 1.
+    fn weight(&self, r: usize) -> f64 {
         if self.discounted {
-            a.discounted_dot(b)
+            0.5f64.powi(r as i32)
         } else {
-            a.dot(b)
+            1.0
+        }
+    }
+}
+
+/// A dataset's WL features and their transpose: for every colour, the
+/// graphs that have it and how often, as CSR over colour ids.
+///
+/// A colour id determines its refinement round (see
+/// [`SparseWlFeatures`]), so one table over all colours serves every round.
+struct ColourPostings {
+    feats: Vec<SparseWlFeatures>,
+    /// `starts[c]..starts[c + 1]` delimits colour `c`'s postings.
+    starts: Vec<usize>,
+    /// `(graph, count)` pairs, ascending in `graph` within each colour.
+    postings: Vec<(usize, u64)>,
+}
+
+impl ColourPostings {
+    fn new(feats: Vec<SparseWlFeatures>) -> Self {
+        let colours = feats
+            .iter()
+            .flat_map(|f| (0..f.num_rounds()).filter_map(|r| f.round(r).0.last()))
+            .max()
+            .map_or(0, |&c| c as usize + 1);
+        let mut starts = vec![0usize; colours + 1];
+        for f in &feats {
+            for r in 0..f.num_rounds() {
+                for &c in f.round(r).0 {
+                    starts[c as usize + 1] += 1;
+                }
+            }
+        }
+        for c in 0..colours {
+            starts[c + 1] += starts[c];
+        }
+        let mut cursor = starts.clone();
+        let mut postings = vec![(0, 0); starts[colours]];
+        for (g, f) in feats.iter().enumerate() {
+            for r in 0..f.num_rounds() {
+                let (keys, counts) = f.round(r);
+                for (&c, &x) in keys.iter().zip(counts) {
+                    postings[cursor[c as usize]] = (g, x);
+                    cursor[c as usize] += 1;
+                }
+            }
+        }
+        ColourPostings {
+            feats,
+            starts,
+            postings,
+        }
+    }
+
+    /// `out[k] = Σ_r weight(r) · Σ_c wl(c, G_i) · wl(c, G_{i+k})`: each
+    /// round's sum is accumulated in `u64` by scattering graph `i`'s count
+    /// products over the postings of its colours, then converted once and
+    /// added in ascending round order — the bits of the merge-join dot.
+    fn fill_row(&self, i: usize, out: &mut [f64], weight: impl Fn(usize) -> f64) {
+        let f = &self.feats[i];
+        let mut acc = vec![0u64; out.len()];
+        out.fill(0.0);
+        for r in 0..f.num_rounds() {
+            let (keys, counts) = f.round(r);
+            for (&c, &x) in keys.iter().zip(counts) {
+                let postings = &self.postings[self.starts[c as usize]..self.starts[c as usize + 1]];
+                let from = postings.partition_point(|&(g, _)| g < i);
+                for &(g, y) in &postings[from..] {
+                    acc[g - i] += x * y;
+                }
+            }
+            let w = weight(r);
+            for (o, a) in out.iter_mut().zip(&mut acc) {
+                *o += w * *a as f64;
+                *a = 0;
+            }
         }
     }
 }
@@ -69,19 +145,18 @@ impl GraphKernel for WlSubtreeKernel {
         let mut r = Refiner::new();
         let fg = SparseWlFeatures::compute(&mut r, g, self.rounds);
         let fh = SparseWlFeatures::compute(&mut r, h, self.rounds);
-        self.dot(&fg, &fh)
+        fg.weighted_dot(&fh, |r| self.weight(r))
     }
 
-    /// Refines every graph once through one shared interner; each entry is
-    /// then a sparse merge-join dot. Bit-identical to [`Self::eval`]: each
-    /// per-round sum of count products is an integer below `2^53`, exact in
-    /// `f64` in any order, and both combine rounds in ascending order.
-    fn entries<'a>(
-        &'a self,
-        graphs: &'a [Graph],
-    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
-        let feats = dataset_sparse_features(graphs, self.rounds);
-        Box::new(move |i, j| self.dot(&feats[i], &feats[j]))
+    /// Refines every graph once through one shared interner and transposes
+    /// the features into colour postings; row `i` is then one scatter of
+    /// graph `i`'s colour counts over the postings, per round.
+    /// Bit-identical to [`Self::eval`]: each per-round sum of count
+    /// products is an integer below `2^53`, exact in `u64` and in `f64` in
+    /// any order, and both combine rounds in ascending order.
+    fn rows<'a>(&'a self, graphs: &'a [Graph]) -> RowEvaluator<'a> {
+        let postings = ColourPostings::new(dataset_sparse_features(graphs, self.rounds));
+        Box::new(move |i, out| postings.fill_row(i, out, |r| self.weight(r)))
     }
 }
 

@@ -1,5 +1,5 @@
 //! A 2-WL (tuple-colour) graph kernel — the "higher-dimensional WL kernel"
-//! direction of [76] (Morris–Kersting–Mutzel) the paper cites in
+//! direction of \[76\] (Morris–Kersting–Mutzel) the paper cites in
 //! Section 3.5.
 //!
 //! Feature map: the histogram of stable folklore-2-WL tuple colours,
@@ -8,7 +8,7 @@
 //! sees cycle structure that leaves 1-WL blind on regular graphs — at
 //! `O(n³)`-per-round cost.
 
-use x2v_core::GraphKernel;
+use x2v_core::{GraphKernel, RowEvaluator};
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
 use x2v_wl::kwl::KwlRefiner;
@@ -53,16 +53,17 @@ impl GraphKernel for Wl2Kernel {
 
     /// One shared interner for the whole dataset, so each graph is
     /// refined once; entries are dots of the aligned histograms.
-    fn entries<'a>(
-        &'a self,
-        graphs: &'a [Graph],
-    ) -> Box<dyn Fn(usize, usize) -> f64 + Send + Sync + 'a> {
+    fn rows<'a>(&'a self, graphs: &'a [Graph]) -> RowEvaluator<'a> {
         let mut r = KwlRefiner::new(2);
         let hists: Vec<FxHashMap<u64, u64>> = graphs
             .iter()
             .map(|g| r.run_rounds(g, self.rounds).histogram())
             .collect();
-        Box::new(move |i, j| hist_dot(&hists[i], &hists[j]))
+        Box::new(move |i, out| {
+            for (o, h) in out.iter_mut().zip(&hists[i..]) {
+                *o = hist_dot(&hists[i], h);
+            }
+        })
     }
 }
 

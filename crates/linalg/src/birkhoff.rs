@@ -6,7 +6,7 @@
 //!   stochastic form; used to produce feasible starting points.
 //! * **Frank-Wolfe minimisation** of `f(X) = ‖AX − XB‖²_F` over doubly
 //!   stochastic `X` — the convex program whose zero set characterises
-//!   *fractional isomorphism* (Theorem 3.2). The paper points out ([57])
+//!   *fractional isomorphism* (Theorem 3.2). The paper points out (\[57\])
 //!   that Frank-Wolfe iterations on this objective mirror the refinement
 //!   rounds of 1-WL; the linear-minimisation oracle is a min-cost assignment
 //!   solved by [`crate::assignment::hungarian`], and the step size has a

@@ -20,7 +20,7 @@
 //! * [`assignment`] — Hungarian algorithm (the linear-minimisation oracle of
 //!   Frank-Wolfe over the Birkhoff polytope);
 //! * [`birkhoff`] — Sinkhorn projection and Frank-Wolfe minimisation of
-//!   `‖AX − XB‖_F` over doubly stochastic matrices (the [57] connection);
+//!   `‖AX − XB‖_F` over doubly stochastic matrices (the \[57\] connection);
 //! * [`sampling`] — Walker alias tables for O(1) discrete sampling (used by
 //!   node2vec walks and SGNS negative sampling).
 //!

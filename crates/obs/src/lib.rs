@@ -5,7 +5,7 @@
 //! claims into *measured* artifacts. It provides, with no dependencies
 //! beyond `std`:
 //!
-//! * **Span timers** — [`span`] returns a drop-guard that records wall time
+//! * **Span timers** — [`span()`] returns a drop-guard that records wall time
 //!   into a process-global registry (call count, total/self/min/max/mean;
 //!   `self` excludes time spent in nested child spans, so flame-style
 //!   attribution sums to real wall time even under re-entrant nesting);
@@ -102,7 +102,7 @@ static SINK: OnceLock<&'static dyn SpanSink> = OnceLock::new();
 
 /// Installs the process-wide span sink. Returns `false` if one was already
 /// installed (the first installation wins). After installation every
-/// [`span`] fires `begin`/`end` on the sink regardless of whether metric
+/// [`span()`] fires `begin`/`end` on the sink regardless of whether metric
 /// collection is enabled.
 pub fn install_span_sink(sink: &'static dyn SpanSink) -> bool {
     if SINK.set(sink).is_err() {

@@ -1,6 +1,6 @@
 //! The cut distance `dist_□` (Section 5.1): minimum over alignments of the
 //! cut norm of the adjacency difference — the distance under which graph
-//! limit theory works ([67]) and the only matrix distance with a constant-
+//! limit theory works (\[67\]) and the only matrix distance with a constant-
 //! factor approximation (Alon–Naor).
 
 use crate::matrix_dist::{dist_exact, GraphNorm};

@@ -9,7 +9,7 @@
 //!   on fractionally isomorphic pairs (Theorem 3.2);
 //! * [`cutdist`] — the cut distance `dist_□`;
 //! * [`blowup`] — lcm blow-ups that extend the distances to graphs of
-//!   different orders (Section 5.1 after [67]);
+//!   different orders (Section 5.1 after \[67\]);
 //! * [`compare`] — machinery for the paper's Section 5.2 question:
 //!   correlating matrix-norm distances with homomorphism-embedding
 //!   distances.

@@ -15,9 +15,15 @@ use x2v_graph::Graph;
 ///
 /// `round_offsets[i]..round_offsets[i + 1]` delimits round `i`'s slice of
 /// `keys` (strictly increasing colours) and `counts` (their multiplicities).
-/// The layout makes the kernel inner product a *merge-join* over two sorted
-/// runs — no hashing, no probing, perfectly predictable scans — which is
-/// what every Gram entry of `x2v-kernel`'s WL subtree kernel runs.
+/// The layout makes the kernel inner product of two graphs a *merge-join*
+/// over two sorted runs — no hashing, no probing, perfectly predictable
+/// scans — which is what the WL subtree kernel's pairwise `eval` runs in
+/// `x2v-kernel`. Its Gram rows instead read the transpose of a whole
+/// dataset's features, colour by colour.
+///
+/// A colour id determines its round: every round-`i` signature embeds a
+/// round-`(i − 1)` colour, and round-0 signatures carry a tag of their own.
+/// So within one refiner the rounds' colour sets are disjoint.
 ///
 /// ## Bit-exactness
 ///
@@ -25,8 +31,9 @@ use x2v_graph::Graph;
 /// integer-valued `f64` arithmetic below `2^53` is exact in *any* summation
 /// order; the per-round sums are combined in ascending round order. Dots
 /// of the same pair of graphs therefore agree bit for bit whichever
-/// interner coloured them, which is what lets a Gram matrix built from one
-/// shared interner reproduce pairwise kernel evaluation exactly.
+/// interner coloured them and in whichever order each round was summed,
+/// which is what lets a Gram matrix built from one shared interner
+/// reproduce pairwise kernel evaluation exactly.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseWlFeatures {
     round_offsets: Vec<usize>,
@@ -38,13 +45,15 @@ impl SparseWlFeatures {
     /// Builds from per-round colour slices (`rounds[i][v]` = colour of node
     /// `v` at round `i`), as recorded by [`crate::WlHistory`].
     fn from_colour_rounds(rounds: &[Vec<u64>]) -> Self {
+        // A round has at most one key per node.
+        let nodes = rounds.first().map_or(0, Vec::len);
         let mut f = SparseWlFeatures {
             round_offsets: Vec::with_capacity(rounds.len() + 1),
-            keys: Vec::new(),
-            counts: Vec::new(),
+            keys: Vec::with_capacity(nodes * rounds.len()),
+            counts: Vec::with_capacity(nodes * rounds.len()),
         };
         f.round_offsets.push(0);
-        let mut sorted: Vec<u64> = Vec::new();
+        let mut sorted: Vec<u64> = Vec::with_capacity(nodes);
         for colours in rounds {
             sorted.clear();
             sorted.extend_from_slice(colours);
@@ -104,13 +113,9 @@ impl SparseWlFeatures {
         self.weighted_dot(other, |_| 1.0)
     }
 
-    /// The discounted kernel `K_WL = Σ_i 2^{-i} Σ_c wl(c,G)·wl(c,H)`.
-    pub fn discounted_dot(&self, other: &SparseWlFeatures) -> f64 {
-        self.weighted_dot(other, |i| 0.5f64.powi(i as i32))
-    }
-
-    /// Generic per-round weighting via a sorted merge-join per round.
-    fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &SparseWlFeatures, w: W) -> f64 {
+    /// `Σ_i w(i) Σ_c wl(c,G)·wl(c,H)` via a sorted merge-join per round;
+    /// `w(i) = 2^{-i}` gives the discounted kernel `K_WL`.
+    pub fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &SparseWlFeatures, w: W) -> f64 {
         let rounds = self.num_rounds().min(other.num_rounds());
         let mut total = 0.0;
         for i in 0..rounds {
@@ -190,7 +195,7 @@ mod tests {
         // Regular graph: each round has a single colour of count 4, so
         // plain dot = 16 * 4 rounds, discounted = 16 * (1 + 1/2 + 1/4 + 1/8).
         assert_eq!(f.dot(f), 64.0);
-        assert!((f.discounted_dot(f) - 16.0 * 1.875).abs() < 1e-12);
+        assert!((f.weighted_dot(f, |i| 0.5f64.powi(i as i32)) - 16.0 * 1.875).abs() < 1e-12);
     }
 
     #[test]
@@ -219,6 +224,31 @@ mod tests {
                 assert_eq!(got, expected, "round {i} histogram");
             }
         }
+    }
+
+    #[test]
+    fn rounds_have_disjoint_colour_sets() {
+        // One refiner, several graphs: a colour seen at round i is never
+        // seen at another round, in any graph.
+        let graphs = [
+            path(4),
+            cycle(6),
+            star(3),
+            disjoint_union(&path(3), &cycle(4)),
+        ];
+        let mut r = Refiner::new();
+        let mut round_of = std::collections::HashMap::new();
+        for g in &graphs {
+            let f = SparseWlFeatures::compute(&mut r, g, 4);
+            for i in 0..f.num_rounds() {
+                for &c in f.round(i).0 {
+                    assert_eq!(*round_of.entry(c).or_insert(i), i, "colour {c}");
+                }
+            }
+        }
+        // Regular graphs repeat their round-(i−1) partition, yet the
+        // colours are fresh each round.
+        assert!(round_of.len() > graphs.len() * 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fractional isomorphism (Theorem 3.2, Tinhofer [99]).
+//! Fractional isomorphism (Theorem 3.2, Tinhofer \[99\]).
 //!
 //! Graphs `G`, `H` are fractionally isomorphic iff the system
 //! `AX = XB`, row/column sums 1, `X ≥ 0` (equations (3.2)–(3.3)) has a

@@ -104,6 +104,7 @@ impl KwlRefiner {
         meter.tick(total as u64)?;
         let mut tuple = vec![0usize; k];
         let mut out = Vec::with_capacity(total);
+        let mut sig = Vec::with_capacity(2 + k + 2);
         for idx in 0..total {
             let mut rest = idx;
             for i in (0..k).rev() {
@@ -111,7 +112,7 @@ impl KwlRefiner {
                 rest /= n;
             }
             // Atomic type: labels, equality pattern, adjacency pattern.
-            let mut sig = Vec::with_capacity(2 + k + 2);
+            sig.clear();
             sig.push(TAG_KWL_INIT);
             sig.push(k as u64);
             for &x in &tuple {
@@ -133,7 +134,7 @@ impl KwlRefiner {
             }
             sig.push(eq_bits);
             sig.push(adj_bits);
-            out.push(self.interner.intern(sig));
+            out.push(self.interner.intern(&sig));
         }
         Ok(out)
     }
@@ -153,6 +154,7 @@ impl KwlRefiner {
         let total = prev.len();
         let mut out = Vec::with_capacity(total);
         let mut rows: Vec<Vec<Colour>> = Vec::with_capacity(n);
+        let mut sig = Vec::with_capacity(2 + n * k);
         for idx in 0..total {
             // One tuple refinement = one work unit (its true cost is
             // O(n·k), but unit-per-tuple keeps ticks deterministic and
@@ -175,13 +177,13 @@ impl KwlRefiner {
                 rows.push(row);
             }
             rows.sort_unstable();
-            let mut sig = Vec::with_capacity(2 + n * k);
+            sig.clear();
             sig.push(TAG_KWL);
             sig.push(prev[idx]);
             for row in &rows {
                 sig.extend_from_slice(row);
             }
-            out.push(self.interner.intern(sig));
+            out.push(self.interner.intern(&sig));
         }
         Ok(out)
     }

@@ -7,7 +7,7 @@
 //!   full per-round histories;
 //! * [`weighted`] — weighted 1-WL refining by edge-weight sums (eq. 3.1);
 //! * [`matrix`] — matrix WL on the weighted bipartite graph of a matrix
-//!   (Figure 4) and the colour-refinement dimension reduction of [44];
+//!   (Figure 4) and the colour-refinement dimension reduction of \[44\];
 //! * [`kwl`] — the k-dimensional (folklore) WL for `k ≥ 2`, the version
 //!   that matches `C^{k+1}`-equivalence (Theorem 3.1) and homomorphism
 //!   indistinguishability over treewidth ≤ k (Theorem 4.4);
@@ -15,8 +15,8 @@
 //!   `wl(c, G)` counts of Section 3.5;
 //! * [`features`] — per-round colour histograms in a flat sorted-CSR
 //!   layout ([`features::SparseWlFeatures`]), the explicit feature map of
-//!   the WL subtree kernel, whose merge-join dot gives every Gram entry
-//!   of `x2v-kernel`'s WL kernel;
+//!   the WL subtree kernel, whose merge-join dot is `x2v-kernel`'s
+//!   pairwise WL kernel and whose per-colour transpose fills its Gram rows;
 //! * [`fractional`] — fractional isomorphism: combinatorial decision via the
 //!   common equitable partition plus an explicit doubly stochastic
 //!   certificate, exact over ℚ (Theorem 3.2).

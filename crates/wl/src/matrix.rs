@@ -1,6 +1,6 @@
 //! Matrix WL (Section 3.2, Figure 4): colour refinement on the weighted
 //! bipartite graph of a matrix, and the colour-refinement dimension
-//! reduction of [44] that shrinks linear programs with symmetries.
+//! reduction of \[44\] that shrinks linear programs with symmetries.
 //!
 //! With an `m × n` matrix `A` we associate the weighted bipartite graph on
 //! `{v_1 … v_m} ∪ {w_1 … w_n}` with `α(v_i, w_j) = A_ij`, rows and columns
@@ -8,7 +8,7 @@
 //! rows/columns is an equitable partition of the matrix; averaging over the
 //! classes yields a smaller quotient matrix whose linear-algebraic behaviour
 //! on partition-constant vectors matches the original — the dimension
-//! reduction used in [44] to speed up LP solving.
+//! reduction used in \[44\] to speed up LP solving.
 
 use crate::weighted::WeightedRefiner;
 use x2v_graph::WeightedGraph;
@@ -72,7 +72,7 @@ pub fn matrix_wl(a: &Matrix) -> MatrixPartition {
     }
 }
 
-/// The quotient (reduced) matrix of [44]: entry `(I, J)` is the sum of
+/// The quotient (reduced) matrix of \[44\]: entry `(I, J)` is the sum of
 /// `A_ij` over `j ∈ J` for any representative row `i ∈ I` (well-defined on a
 /// stable partition; this implementation averages over rows of the class so
 /// numerical noise cancels).

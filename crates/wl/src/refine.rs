@@ -58,11 +58,14 @@ impl WlHistory {
     }
 }
 
-fn count_distinct(colours: &[Colour]) -> usize {
-    let mut v: Vec<Colour> = colours.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
+/// Number of distinct colours in `colours`, sorted in `scratch` (reused
+/// across rounds so counting allocates nothing per round).
+fn count_distinct(colours: &[Colour], scratch: &mut Vec<Colour>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(colours);
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len()
 }
 
 fn joint_distinct(a: &[Colour], b: &[Colour]) -> usize {
@@ -102,47 +105,78 @@ impl Refiner {
     fn initial_colours(&mut self, labels: &[u32]) -> Vec<Colour> {
         labels
             .iter()
-            .map(|&l| self.interner.intern(vec![TAG_INIT, l as u64]))
+            .map(|&l| self.interner.intern(&[TAG_INIT, l as u64]))
             .collect()
     }
 
-    /// Minimum nodes per parallel chunk of signature building: small
-    /// graphs stay on the inline path where per-node work cannot amortise
-    /// a pool handoff. Part of the chunk plan, so it must stay a constant
-    /// (never derived from the thread count).
+    /// Minimum nodes per parallel chunk of signature building: a graph of
+    /// fewer than twice this many nodes is one chunk, run inline. Part of
+    /// the chunk plan, so it must stay a constant (never derived from the
+    /// thread count).
     const SIG_GRAIN: usize = 512;
+
+    /// One refinement round over `n` nodes: `write(v, buf)` appends node
+    /// `v`'s signature, `len(v)` words long, to `buf`.
+    ///
+    /// Signature building reads only the graph and the previous colouring,
+    /// so it fans out, each chunk of nodes writing its signatures back to
+    /// back into one flat buffer. Interning mutates the shared colour
+    /// universe and stays serial *in node order*, which keeps colour ids
+    /// identical to a fully serial refinement.
+    fn intern_signatures<L, W>(&mut self, n: usize, len: L, write: W) -> Vec<Colour>
+    where
+        L: Fn(usize) -> usize + Sync,
+        W: Fn(usize, &mut Vec<u64>) + Sync,
+    {
+        let plan = x2v_par::ChunkPlan::new(n, Self::SIG_GRAIN);
+        let bufs = x2v_par::map_chunks(&plan, |_, range| {
+            let mut buf = Vec::with_capacity(range.clone().map(&len).sum());
+            for v in range {
+                write(v, &mut buf);
+            }
+            buf
+        });
+        let mut next = Vec::with_capacity(n);
+        for (idx, buf) in bufs.iter().enumerate() {
+            let mut at = 0;
+            for v in plan.range(idx) {
+                let end = at + len(v);
+                next.push(self.interner.intern(&buf[at..end]));
+                at = end;
+            }
+            debug_assert_eq!(at, buf.len(), "signature lengths must match `len`");
+        }
+        next
+    }
 
     fn refine_once(&mut self, g: &Graph, prev: &[Colour]) -> Vec<Colour> {
         x2v_obs::counter_add("wl/refine_rounds_total", 1);
-        // Signature building reads only the graph and the previous
-        // colouring, so it fans out; interning mutates the shared colour
-        // universe and stays serial *in node order*, which keeps colour
-        // ids identical to a fully serial refinement.
-        let sigs = x2v_par::map_items(g.order(), Self::SIG_GRAIN, |v| {
-            let mut sig = Vec::with_capacity(2 + g.neighbours(v).len());
-            sig.push(TAG_UNDIRECTED);
-            sig.push(prev[v]);
-            sig.extend(g.neighbours(v).iter().map(|&w| prev[w]));
-            sig[2..].sort_unstable();
-            sig
-        });
-        sigs.into_iter()
-            .map(|sig| self.interner.intern(sig))
-            .collect()
+        self.intern_signatures(
+            g.order(),
+            |v| 2 + g.neighbours(v).len(),
+            |v, buf| {
+                buf.extend_from_slice(&[TAG_UNDIRECTED, prev[v]]);
+                let start = buf.len();
+                buf.extend(g.neighbours(v).iter().map(|&w| prev[w]));
+                buf[start..].sort_unstable();
+            },
+        )
     }
 
-    /// Runs exactly `rounds` refinement rounds (plus the initial round 0),
-    /// recording every intermediate colouring. `stable_round` is detected
-    /// along the way but refinement continues to the requested round — this
-    /// matters when comparing two graphs that stabilise at different times.
-    pub fn refine_rounds(&mut self, g: &Graph, rounds: usize) -> WlHistory {
-        let _timer = x2v_obs::span("wl/refine_rounds");
-        let mut history = vec![self.initial_colours(g.labels())];
+    /// Runs `rounds` rounds of `step` from the colouring by `labels`,
+    /// recording every colouring and the first stable round.
+    fn record_rounds<S>(&mut self, labels: &[u32], rounds: usize, mut step: S) -> WlHistory
+    where
+        S: FnMut(&mut Self, &[Colour]) -> Vec<Colour>,
+    {
+        let mut history = Vec::with_capacity(rounds + 1);
+        history.push(self.initial_colours(labels));
+        let mut scratch = Vec::new();
         let mut stable_round = None;
-        let mut prev_classes = count_distinct(&history[0]);
+        let mut prev_classes = count_distinct(&history[0], &mut scratch);
         for t in 0..rounds {
-            let next = self.refine_once(g, &history[t]);
-            let classes = count_distinct(&next);
+            let next = step(self, &history[t]);
+            let classes = count_distinct(&next, &mut scratch);
             if stable_round.is_none() && classes == prev_classes {
                 stable_round = Some(t);
             }
@@ -155,16 +189,26 @@ impl Refiner {
         }
     }
 
+    /// Runs exactly `rounds` refinement rounds (plus the initial round 0),
+    /// recording every intermediate colouring. `stable_round` is detected
+    /// along the way but refinement continues to the requested round — this
+    /// matters when comparing two graphs that stabilise at different times.
+    pub fn refine_rounds(&mut self, g: &Graph, rounds: usize) -> WlHistory {
+        let _timer = x2v_obs::span("wl/refine_rounds");
+        self.record_rounds(g.labels(), rounds, |r, prev| r.refine_once(g, prev))
+    }
+
     /// Refines until the partition stabilises (at most `n` rounds are ever
     /// needed; the returned history ends at the stable round).
     pub fn refine_to_stable(&mut self, g: &Graph) -> WlHistory {
         let _timer = x2v_obs::span("wl/refine_to_stable");
         let n = g.order();
         let mut history = vec![self.initial_colours(g.labels())];
-        let mut prev_classes = count_distinct(&history[0]);
+        let mut scratch = Vec::new();
+        let mut prev_classes = count_distinct(&history[0], &mut scratch);
         for t in 0..=n {
             let next = self.refine_once(g, &history[t]);
-            let classes = count_distinct(&next);
+            let classes = count_distinct(&next, &mut scratch);
             history.push(next);
             if classes == prev_classes {
                 x2v_obs::observe("wl/rounds_to_stability", t as f64);
@@ -231,81 +275,45 @@ impl Refiner {
     where
         F: Fn(usize, usize) -> u32 + Sync,
     {
-        let mut history = vec![self.initial_colours(g.labels())];
-        let mut stable_round = None;
-        let mut prev_classes = count_distinct(&history[0]);
-        for t in 0..rounds {
-            let prev = &history[t];
-            let sigs = x2v_par::map_items(g.order(), Self::SIG_GRAIN, |v| {
-                let mut pairs: Vec<(u64, u64)> = g
-                    .neighbours(v)
-                    .iter()
-                    .map(|&w| (edge_label(v, w) as u64, prev[w]))
-                    .collect();
-                pairs.sort_unstable();
-                let mut sig = Vec::with_capacity(2 + 2 * pairs.len());
-                sig.push(TAG_EDGE_LABELLED);
-                sig.push(prev[v]);
-                for (l, c) in pairs {
-                    sig.push(l);
-                    sig.push(c);
-                }
-                sig
-            });
-            let next: Vec<Colour> = sigs
-                .into_iter()
-                .map(|sig| self.interner.intern(sig))
-                .collect();
-            let classes = count_distinct(&next);
-            if stable_round.is_none() && classes == prev_classes {
-                stable_round = Some(t);
-            }
-            prev_classes = classes;
-            history.push(next);
-        }
-        WlHistory {
-            stable_round: stable_round.unwrap_or(rounds),
-            rounds: history,
-        }
+        self.record_rounds(g.labels(), rounds, |r, prev| {
+            r.intern_signatures(
+                g.order(),
+                |v| 2 + 2 * g.neighbours(v).len(),
+                |v, buf| {
+                    let mut pairs: Vec<(u64, u64)> = g
+                        .neighbours(v)
+                        .iter()
+                        .map(|&w| (edge_label(v, w) as u64, prev[w]))
+                        .collect();
+                    pairs.sort_unstable();
+                    buf.extend_from_slice(&[TAG_EDGE_LABELLED, prev[v]]);
+                    for (l, c) in pairs {
+                        buf.extend_from_slice(&[l, c]);
+                    }
+                },
+            )
+        })
     }
 
     /// Directed 1-WL: in- and out-neighbourhoods are refined separately
     /// (Section 3.2).
     pub fn refine_directed(&mut self, d: &DiGraph, rounds: usize) -> WlHistory {
-        let mut history = vec![self.initial_colours(d.labels())];
-        let mut stable_round = None;
-        let mut prev_classes = count_distinct(&history[0]);
-        for t in 0..rounds {
-            let prev = &history[t];
-            let sigs = x2v_par::map_items(d.order(), Self::SIG_GRAIN, |v| {
-                let mut inn: Vec<Colour> = d.in_neighbours(v).iter().map(|&w| prev[w]).collect();
-                let mut out: Vec<Colour> = d.out_neighbours(v).iter().map(|&w| prev[w]).collect();
-                inn.sort_unstable();
-                out.sort_unstable();
-                let mut sig = Vec::with_capacity(4 + inn.len() + out.len());
-                sig.push(TAG_DIRECTED);
-                sig.push(prev[v]);
-                sig.push(SEP);
-                sig.extend_from_slice(&inn);
-                sig.push(SEP);
-                sig.extend_from_slice(&out);
-                sig
-            });
-            let next: Vec<Colour> = sigs
-                .into_iter()
-                .map(|sig| self.interner.intern(sig))
-                .collect();
-            let classes = count_distinct(&next);
-            if stable_round.is_none() && classes == prev_classes {
-                stable_round = Some(t);
-            }
-            prev_classes = classes;
-            history.push(next);
-        }
-        WlHistory {
-            stable_round: stable_round.unwrap_or(rounds),
-            rounds: history,
-        }
+        self.record_rounds(d.labels(), rounds, |r, prev| {
+            r.intern_signatures(
+                d.order(),
+                |v| 4 + d.in_neighbours(v).len() + d.out_neighbours(v).len(),
+                |v, buf| {
+                    buf.extend_from_slice(&[TAG_DIRECTED, prev[v], SEP]);
+                    let start = buf.len();
+                    buf.extend(d.in_neighbours(v).iter().map(|&w| prev[w]));
+                    buf[start..].sort_unstable();
+                    buf.push(SEP);
+                    let start = buf.len();
+                    buf.extend(d.out_neighbours(v).iter().map(|&w| prev[w]));
+                    buf[start..].sort_unstable();
+                },
+            )
+        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! Weighted 1-WL (Section 3.2, after [44]): refinement by *sums of edge
+//! Weighted 1-WL (Section 3.2, after \[44\]): refinement by *sums of edge
 //! weights* into each colour class rather than neighbour counts (eq. 3.1).
 //!
 //! Two nodes `v, w` of equal colour split if there is a colour `d` with
@@ -35,7 +35,7 @@ impl WeightedRefiner {
     fn initial(&mut self, labels: &[u32]) -> Vec<Colour> {
         labels
             .iter()
-            .map(|&l| self.interner.intern(vec![TAG_INIT, l as u64]))
+            .map(|&l| self.interner.intern(&[TAG_INIT, l as u64]))
             .collect()
     }
 
@@ -67,7 +67,7 @@ impl WeightedRefiner {
                         sig.push(sum.to_bits());
                     }
                 }
-                self.interner.intern(sig)
+                self.interner.intern(&sig)
             })
             .collect()
     }
